@@ -262,6 +262,7 @@ class GoodputSampler final : public EventSource {
 struct MetricPlan {
   enum class Kind {
     kFlowMbps,
+    kSubflowMbps,
     kTotalMbps,
     kJain,
     kQueueLoss,
@@ -281,6 +282,8 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
     MetricPlan p{};
     if (m == "flow_mbps") {
       p.kind = MetricPlan::Kind::kFlowMbps;
+    } else if (m == "subflow_mbps") {
+      p.kind = MetricPlan::Kind::kSubflowMbps;
     } else if (m == "total_mbps") {
       p.kind = MetricPlan::Kind::kTotalMbps;
     } else if (m == "jain") {
@@ -313,8 +316,9 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
       }
     } else if (out != nullptr) {
       out->fail("unknown metric '" + m +
-                "' (known: flow_mbps, total_mbps, jain, queue_loss, "
-                "loss_ratio:<a>:<b>, per_host_mbps, per_flow_mean_mbps)");
+                "' (known: flow_mbps, subflow_mbps, total_mbps, jain, "
+                "queue_loss, loss_ratio:<a>:<b>, per_host_mbps, "
+                "per_flow_mean_mbps)");
     }
     plan.push_back(p);
   }
@@ -464,6 +468,15 @@ void execute_run(const ResolvedRun& run, double time_scale,
       case MetricPlan::Kind::kFlowMbps:
         for (std::size_t i = 0; i < conns.size(); ++i) {
           ctx.record("mbps_" + conns[i]->name(), mbps[i]);
+        }
+        break;
+      case MetricPlan::Kind::kSubflowMbps:
+        for (std::size_t i = 0; i < conns.size(); ++i) {
+          const std::vector<double> sub = meter.subflow_mbps(i);
+          for (std::size_t r = 0; r < sub.size(); ++r) {
+            ctx.record("mbps_" + conns[i]->name() + "_sf" + std::to_string(r),
+                       sub[r]);
+          }
         }
         break;
       case MetricPlan::Kind::kTotalMbps:

@@ -7,10 +7,19 @@ namespace mpsim::stats {
 void GoodputMeter::mark() {
   t0_ = events_.now();
   base_.clear();
+  sub_base_.clear();
   // clear() keeps capacity, so only the first mark() allocates; marks are
   // measurement-window granularity anyway, not per packet.
-  // mpsim-analyze: allow(hot-alloc)
-  for (const auto* c : conns_) base_.push_back(c->delivered_pkts());
+  for (const auto* c : conns_) {
+    // mpsim-analyze: allow(hot-alloc)
+    base_.push_back(c->delivered_pkts());
+    // mpsim-analyze: allow(hot-alloc)
+    std::vector<std::uint64_t>& subs = sub_base_.emplace_back();
+    for (std::size_t r = 0; r < c->num_subflows(); ++r) {
+      // mpsim-analyze: allow(hot-alloc)
+      subs.push_back(c->subflow(r).packets_acked());
+    }
+  }
 }
 
 std::vector<double> GoodputMeter::mbps() const {
@@ -23,6 +32,20 @@ std::vector<double> GoodputMeter::mbps() const {
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     out.push_back(pkts_to_mbps(conns_[i]->delivered_pkts() - base_[i],
                                elapsed));
+  }
+  return out;
+}
+
+std::vector<double> GoodputMeter::subflow_mbps(std::size_t i) const {
+  const SimTime elapsed = events_.now() - t0_;
+  const mptcp::MptcpConnection& c = *conns_[i];
+  std::vector<double> out;
+  for (std::size_t r = 0; r < c.num_subflows(); ++r) {
+    const std::uint64_t base = r < sub_base_[i].size() ? sub_base_[i][r] : 0;
+    out.push_back(elapsed > 0 ? pkts_to_mbps(
+                                    c.subflow(r).packets_acked() - base,
+                                    elapsed)
+                              : 0.0);
   }
   return out;
 }

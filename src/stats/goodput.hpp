@@ -28,12 +28,18 @@ class GoodputMeter {
 
   double total_mbps() const;
 
+  // Per-subflow Mb/s of tracked connection `i` since mark(), from each
+  // subflow's cumulatively acknowledged packets: the path split of one
+  // connection. Subflows opened after mark() count from zero.
+  std::vector<double> subflow_mbps(std::size_t i) const;
+
   std::size_t tracked() const { return conns_.size(); }
 
  private:
   EventList& events_;
   std::vector<const mptcp::MptcpConnection*> conns_;
   std::vector<std::uint64_t> base_;
+  std::vector<std::vector<std::uint64_t>> sub_base_;
   SimTime t0_ = 0;
 };
 
