@@ -101,14 +101,18 @@ std::vector<RunResult> ExperimentRunner::run_all() {
       // sharded run's merged flush reproduces the sequential bytes
       // exactly (TraceRecorder::flush_merged).
       auto sink = trace::make_sink(cfg_.trace_sink);
+      std::vector<const trace::TraceRecorder*> recs;
+      for (int s = 0; s < grp.size(); ++s) {
+        recs.push_back(trace::TraceRecorder::find(grp.shard(s)));
+      }
       if (grp.multi()) {
-        std::vector<const trace::TraceRecorder*> recs;
-        for (int s = 0; s < grp.size(); ++s) {
-          recs.push_back(trace::TraceRecorder::find(grp.shard(s)));
-        }
         trace::TraceRecorder::flush_merged(recs, *sink);
       } else {
-        trace::TraceRecorder::find(ctx.events())->flush(*sink);
+        recs.front()->flush(*sink);
+      }
+      for (const trace::TraceRecorder* rec : recs) {
+        r.trace_records += rec->total_records();
+        r.trace_overwritten += rec->overwritten();
       }
       const std::string path = cfg_.trace_dir + "/trace_" +
                                sanitize_for_filename(ctx.name()) +

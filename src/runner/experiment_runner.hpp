@@ -103,6 +103,11 @@ struct RunResult {
   // failed). Files are named from the run name alone, so contents and names
   // are byte-identical across thread counts.
   std::string trace_path;
+  // Flight-recorder totals over every shard's ring (0 when tracing is off):
+  // records appended, and how many the ring overwrote before the flush —
+  // nonzero means trace_path holds only the newest records.
+  std::uint64_t trace_records = 0;
+  std::uint64_t trace_overwritten = 0;
 
   double value(const std::string& key, double fallback = 0.0) const {
     for (const auto& [k, v] : values) {

@@ -6,7 +6,8 @@
 //
 // `run` prints one deterministic block per run (name + recorded metrics,
 // fixed formatting) to stdout and writes BENCH_scenario_<name>.json; wall
-// timings go to stderr, so stdout and the trace files are byte-identical
+// timings and, for traced runs, each trace ring's record and overwrite
+// counts go to stderr, so stdout and the trace files are byte-identical
 // across thread counts and schedulers — CI diffs them. A malformed spec
 // exits 2 with a file:line diagnostic.
 #include <cstdio>
@@ -239,6 +240,16 @@ int cmd_run(const Options& opts) {
                    eng.threads == 0
                        ? runner::ExperimentRunner::hardware_threads()
                        : eng.threads);
+      // Ring loss goes to stderr with the timings: stdout stays the
+      // deterministic block CI diffs.
+      if (eng.trace_sink != trace::SinkKind::kNone) {
+        for (const runner::RunResult& r : results) {
+          std::fprintf(stderr, "%s: %llu records, %llu overwritten\n",
+                       r.name.c_str(),
+                       static_cast<unsigned long long>(r.trace_records),
+                       static_cast<unsigned long long>(r.trace_overwritten));
+        }
+      }
 
       runner::write_json_file("scenario_" + scn.name(),
                               runner::json_from_results(results));
