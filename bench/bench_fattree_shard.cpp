@@ -35,7 +35,7 @@ void dc_job(runner::RunContext& ctx) {
   const auto tm = traffic::permutation_tm(ft.num_hosts(), tm_rng);
   Rng path_rng(1);
   mptcp::ConnectionConfig ccfg;
-  ccfg.subflow.min_rto = from_ms(10);  // DC RTO floor (see datacenter.hpp)
+  ccfg.subflow.min_rto = from_ms(10);  // DC RTO floor (DESIGN.md §4)
   ccfg.recv_buffer_pkts = 4096;
 
   std::vector<std::unique_ptr<mptcp::MptcpConnection>> flows;

@@ -1,9 +1,9 @@
-// Shared plumbing for the benchmark harness. Each bench binary regenerates
-// one table or figure from the paper's evaluation: it builds the topology,
-// runs the workload past warm-up, and prints the same rows/series the
-// paper reports. Absolute numbers depend on the simulated substrate; the
-// shapes (orderings, crossovers, approximate ratios) are the reproduction
-// target (see EXPERIMENTS.md).
+// Shared plumbing for the hand-built bench drivers: the figures whose
+// workload has no scenario-engine builder yet, and the perf benches. Every
+// other paper figure is a spec in examples/scenarios/, run by `mpsim run`
+// (see EXPERIMENTS.md). Absolute numbers depend on the simulated
+// substrate; the shapes (orderings, crossovers, approximate ratios) are
+// the reproduction target.
 #pragma once
 
 #include <cstdio>
@@ -14,16 +14,12 @@
 #include "cc/congestion_control.hpp"
 #include "core/env.hpp"
 #include "core/event_list.hpp"
-#include "stats/goodput.hpp"
 #include "json_report.hpp"
 #include "mptcp/connection.hpp"
 #include "runner/experiment_runner.hpp"
 #include "stats/monitors.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "topo/network.hpp"
-#include "trace/sinks.hpp"
-#include "trace/trace.hpp"
 
 namespace mpsim::bench {
 
@@ -48,64 +44,6 @@ inline int env_seeds(int fallback) {
 inline SimTime scaled(double seconds) {
   return from_sec(seconds * time_scale());
 }
-
-// Flight-recorder selection for a bench binary: `--trace[=csv|jsonl|null]`
-// on the command line, falling back to the MPSIM_TRACE environment knob.
-inline trace::SinkKind trace_sink_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--trace" || a == "--trace=csv") return trace::SinkKind::kCsv;
-    if (a == "--trace=jsonl") return trace::SinkKind::kJsonl;
-    if (a == "--trace=null") return trace::SinkKind::kNull;
-  }
-  return trace::sink_from_env();
-}
-
-// Installs a flight recorder on a bench's EventList (when a sink was
-// selected) and writes trace_<name><ext> at write(). Construct immediately
-// after the EventList, before the topology — instrumented objects bind to
-// the recorder at construction.
-class BenchTrace {
- public:
-  BenchTrace(EventList& events, trace::SinkKind kind, std::string name)
-      : kind_(kind), name_(std::move(name)) {
-    if (kind_ != trace::SinkKind::kNone) {
-      rec_ = &trace::TraceRecorder::install(events, trace::config_from_env());
-    }
-  }
-
-  // nullptr when tracing is off — pass straight to MPSIM_TRACE.
-  trace::TraceRecorder* recorder() const { return rec_; }
-
-  // Register a bench-level series (e.g. a goodput column) by name.
-  std::uint16_t series(const std::string& label) {
-    return rec_ != nullptr ? rec_->register_object(label) : 0;
-  }
-
-  void write() const {
-    if (rec_ == nullptr) return;
-    auto sink = trace::make_sink(kind_);
-    rec_->flush(*sink);
-    const std::string path =
-        "trace_" + name_ + trace::sink_extension(kind_);
-    if (trace::write_text_file(path, sink->text())) {
-      std::printf("trace: %s (%llu records, %llu overwritten)\n",
-                  path.c_str(),
-                  static_cast<unsigned long long>(rec_->total_records()),
-                  static_cast<unsigned long long>(rec_->overwritten()));
-    }
-  }
-
- private:
-  trace::SinkKind kind_;
-  std::string name_;
-  trace::TraceRecorder* rec_ = nullptr;
-};
-
-// Measure the delivered goodput of each connection between warmup and end.
-// Lives in the library now (stats/goodput.hpp) so the scenario engine
-// meters exactly the way the benches do.
-using GoodputMeter = stats::GoodputMeter;
 
 inline void banner(const std::string& title, const std::string& paper_ref) {
   std::printf("\n=== %s ===\n", title.c_str());

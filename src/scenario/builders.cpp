@@ -5,12 +5,13 @@
 // lowercase and unique, so `mpsim list` and the spec grammar can never
 // drift apart or collide.
 //
-// Byte-identity contract: a builder must construct network elements and
-// connections in exactly the order the corresponding bench binary does —
-// element construction order determines names, event ordering and rng
-// draws. Where a bench and the engine share a helper (topo::WirelessClient,
-// topo::sample_path_pairs), identity is structural; elsewhere the order is
-// mirrored by hand and locked by the round-trip tests.
+// Byte-identity contract: element construction order determines names,
+// event ordering and rng draws, so a builder's order is part of its
+// behaviour. The direct-construction references in the round-trip and
+// fault-engine tests and the golden stdout of every paper-figure spec
+// (tests/golden/*.stdout) lock it; where a reference and the engine share
+// a helper (topo::WirelessClient, topo::sample_path_pairs), identity is
+// structural.
 #include <array>
 #include <memory>
 #include <string>
@@ -29,7 +30,6 @@
 #include "core/check.hpp"
 #include "mptcp/path_manager.hpp"
 #include "net/cbr.hpp"
-#include "net/variable_rate_queue.hpp"
 #include "scenario/registry.hpp"
 #include "topo/bcube.hpp"
 #include "topo/fat_tree.hpp"
@@ -264,14 +264,6 @@ class WirelessTopo final : public BuiltTopology {
   WirelessTopo(topo::Network& net, double wifi_loss)
       : radio_(net, wifi_loss) {}
 
-  void add_schedule(EventList& events, net::VariableRateQueue& q,
-                    std::vector<net::RateSchedule::Change> changes) {
-    schedules_.push_back(
-        std::make_unique<net::RateSchedule>(events, q, std::move(changes)));
-  }
-
-  topo::WirelessClient& radio() { return radio_; }
-
   int flow_slots() const override { return 1; }
 
   // Path 0 = WiFi, path 1 = 3G.
@@ -290,29 +282,7 @@ class WirelessTopo final : public BuiltTopology {
 
  private:
   topo::WirelessClient radio_;
-  std::vector<std::unique_ptr<net::RateSchedule>> schedules_;
 };
-
-// "<time>:<rate>" schedule entries, e.g. "9min:0bps". Times are scaled
-// like every other simulated duration.
-std::vector<net::RateSchedule::Change> parse_schedule(
-    const Section& s, const std::string& key, const BuildEnv& env) {
-  std::vector<net::RateSchedule::Change> changes;
-  for (const std::string& entry : s.get_string_array(key)) {
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos) {
-      s.fail("schedule entry '" + entry + "' in '" + key +
-             "' must look like \"9min:5Mbps\"");
-    }
-    net::RateSchedule::Change c;
-    c.at = env.scaled(
-        parse_time(entry.substr(0, colon), s.file(), s.line()));
-    c.rate_bps =
-        parse_rate_bps(entry.substr(colon + 1), s.file(), s.line());
-    changes.push_back(c);
-  }
-  return changes;
-}
 
 // ---------------------------------------------------------------------------
 // Algorithms
@@ -583,9 +553,9 @@ class PersistentTraffic final : public TrafficModel {
   std::vector<std::unique_ptr<const cc::CongestionControl>> owned_algos_;
 };
 
-// The §4 traffic matrices, built exactly like bench::run_dc: flow idx gets
-// name "f<idx>", starts at 0.5 ms * (idx % 997) (unscaled — starts only
-// de-synchronize), and single-path runs sample one path.
+// The §4 traffic matrices: flow idx gets name "f<idx>", starts at
+// 0.5 ms * (idx % 997) (unscaled — starts only de-synchronize), and
+// single-path runs sample one path (the paper's ECMP stand-in).
 class MatrixTraffic final : public TrafficModel {
  public:
   enum class Kind { kPermutation, kOneToMany, kSparse, kNeighbors };
@@ -744,7 +714,7 @@ class PoissonTraffic final : public TrafficModel {
       persistent_.push_back(std::move(conn));
       owned_algos_.push_back(std::move(inst.cc));
     }
-    // The bench's start stagger: generator at 0, long TCP at 3 ms,
+    // Start stagger: generator at 0, long TCP at 3 ms,
     // companions at 7, 13, 19, ... ms.
     gen_->start(0);
     std::size_t c = 0;
@@ -1053,19 +1023,10 @@ Registry make_builtin_registry() {
 
   r.add_topology(
       "wireless",
-      "§5: WiFi (path 0) + 3G (path 1) client, scriptable rates",
-      [](topo::Network& net, const Section& s, const BuildEnv& env) {
-        const double wifi_loss = s.get_number("wifi_loss", 0.0005);
-        auto t = std::make_unique<WirelessTopo>(net, wifi_loss);
-        if (s.has("wifi_schedule")) {
-          t->add_schedule(net.events(), t->radio().wifi_q,
-                          parse_schedule(s, "wifi_schedule", env));
-        }
-        if (s.has("g3_schedule")) {
-          t->add_schedule(net.events(), t->radio().g3_q,
-                          parse_schedule(s, "g3_schedule", env));
-        }
-        return t;
+      "§5: WiFi (path 0) + 3G (path 1) client; script rates with [faults]",
+      [](topo::Network& net, const Section& s, const BuildEnv&) {
+        return std::make_unique<WirelessTopo>(
+            net, s.get_number("wifi_loss", 0.0005));
       });
 
   auto simple_algo = [](const char* kind) {

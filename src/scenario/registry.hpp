@@ -39,12 +39,11 @@ namespace mpsim::scenario {
 // Build-time context shared by all builders of one run.
 struct BuildEnv {
   // Simulated-duration scale (MPSIM_BENCH_SCALE / --scale): applied to
-  // warmup/measure and to scripted schedule times, exactly as the bench
-  // harness applies bench::scaled().
+  // warmup/measure and to scripted schedule times.
   double time_scale = 1.0;
-  // Scale flow start times too ([run] scale_starts). The figure benches
-  // leave start staggers unscaled (they only de-synchronize flows), but
-  // Fig. 17's timeline positions starts in scaled minutes.
+  // Scale flow start times too ([run] scale_starts). Start staggers stay
+  // unscaled by default (they only de-synchronize flows), but Fig. 17's
+  // timeline positions starts in scaled minutes.
   bool scale_starts = false;
 
   SimTime scaled(SimTime t) const {

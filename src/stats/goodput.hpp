@@ -1,7 +1,7 @@
 // Goodput measurement over a set of connections: snapshot delivered
-// counters at mark(), read per-connection Mb/s later. Shared by the bench
-// harness and the scenario engine so both report identical numbers from
-// identical simulations.
+// counters at mark(), read per-connection Mb/s later. Shared by the
+// scenario engine and the tests' direct-construction references so both
+// report identical numbers from identical simulations.
 #pragma once
 
 #include <cstdint>

@@ -53,9 +53,4 @@ double percentile(std::vector<double> xs, double q) {
   return xs[idx];
 }
 
-std::vector<double> rank_sorted(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs;
-}
-
 }  // namespace mpsim::stats

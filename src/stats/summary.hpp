@@ -18,7 +18,4 @@ double maximum(const std::vector<double>& xs);
 // Value at quantile q in [0,1] using nearest-rank on a copy.
 double percentile(std::vector<double> xs, double q);
 
-// Sorted ascending — the "rank of flow/link" x-axis of Fig. 13.
-std::vector<double> rank_sorted(std::vector<double> xs);
-
 }  // namespace mpsim::stats

@@ -8,9 +8,9 @@
 //         paper measured RTTs "well over a second"), negligible random
 //         loss (dedicated channel).
 // Both are VariableRateQueues so mobility traces (Fig. 17) can fade or
-// kill them. Lives in src/topo so the bench harness and the scenario
-// engine build the exact same client (element order, names and loss seed
-// included — byte-identical simulations).
+// kill them. Lives in src/topo so the scenario engine and the tests'
+// direct-construction references build the exact same client (element
+// order, names and loss seed included — byte-identical simulations).
 #pragma once
 
 #include "topo/network.hpp"
@@ -22,10 +22,10 @@ struct WirelessClient {
   static constexpr double k3gRate = 2.1e6;
 
   // Default wifi loss models good reception (the paper's static test was
-  // run "in the same room as the WiFi basestation"); the Fig. 15 compete
-  // bench passes a higher rate to model the interference they saw. Note
-  // that at loss p the TCP-sustainable window is sqrt(2/p); 0.05% keeps
-  // the sawtooth above the 24-packet BDP so the 14.4 Mb/s link fills.
+  // run "in the same room as the WiFi basestation"); the Fig. 15 spec
+  // sets a higher rate to model the interference they saw. Note that at
+  // loss p the TCP-sustainable window is sqrt(2/p); 0.05% keeps the
+  // sawtooth above the 24-packet BDP so the 14.4 Mb/s link fills.
   explicit WirelessClient(Network& net, double wifi_loss = 0.0005)
       : wifi_q(net.add_variable_queue("wifi/q", kWifiRate,
                                       25 * net::kDataPacketBytes)),

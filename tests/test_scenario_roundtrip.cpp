@@ -66,7 +66,7 @@ measure = "20s"
 metrics = ["flow_mbps", "jain", "queue_loss", "loss_ratio:0:2"]
 )");
 
-  // The same simulation, written the way bench_fig8_torus writes it.
+  // The same simulation, written directly against the C++ API.
   runner::RunContext ctx("direct", SchedulerKind::kAuto);
   EventList& events = ctx.events();
   topo::Network net(events);

@@ -161,6 +161,23 @@ TEST(SpecValidation, UnknownKeyRejected) {
             std::string::npos);
 }
 
+// The legacy wireless rate-schedule keys are gone ([faults] replaces
+// them): they now fail like any other unknown key, at their own line.
+TEST(SpecValidation, LegacyWirelessScheduleKeyRejected) {
+  Scenario s = Scenario::from_string(
+      "[topology]\nkind = \"wireless\"\n"
+      "wifi_schedule = [\"9min:0bps\"]\n"
+      "[algorithm]\nkind = \"mptcp\"\n"
+      "[traffic]\nkind = \"persistent\"\n"
+      "[run]\nwarmup = \"1s\"\nmeasure = \"1s\"\n",
+      "legacy.toml");
+  const SpecError e = error_of([&] { s.validate(); });
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_NE(std::string(e.what()).find(
+                "legacy.toml:3: unknown key 'wifi_schedule' in [topology]"),
+            std::string::npos);
+}
+
 TEST(SpecValidation, UnknownTopologyKindRejected) {
   std::string text = kBase;
   const std::size_t pos = text.find("\"two_link\"");

@@ -28,7 +28,7 @@ using mptcp::MptcpConnection;
 // (windows of ~7 packets cannot raise 3 dupacks); we scale both down 8x,
 // which preserves every ratio the §2.3 argument uses while keeping the
 // dynamics in the AIMD regime the fluid model describes. The bench
-// (bench_fig15_wifi3g_compete) reports the paper-exact settings too.
+// (bench_sec23_rtt_mismatch) reports the paper-exact settings too.
 inline constexpr double kWifiLoss = 0.005;
 inline constexpr double k3gLoss = 0.001;
 

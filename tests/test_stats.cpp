@@ -47,11 +47,6 @@ TEST(Summary, PercentileNearestRank) {
   EXPECT_NEAR(percentile(xs, 0.5), 50.0, 1.0);
 }
 
-TEST(Summary, RankSortedAscending) {
-  auto r = rank_sorted({3, 1, 2});
-  EXPECT_EQ(r, (std::vector<double>{1, 2, 3}));
-}
-
 TEST(Monitors, CounterSeriesComputesDeltas) {
   EventList events;
   std::uint64_t counter = 0;
