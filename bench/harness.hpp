@@ -1,4 +1,4 @@
-// Shared plumbing for the hand-built bench drivers: the figures whose
+// Shared plumbing for the hand-built bench programs: the figures whose
 // workload has no scenario-engine builder yet, and the perf benches. Every
 // other paper figure is a spec in examples/scenarios/, run by `mpsim run`
 // (see EXPERIMENTS.md). Absolute numbers depend on the simulated

@@ -371,8 +371,9 @@ void execute_run(const ResolvedRun& run, double time_scale,
 
   // Construction order is part of the result (element names, event order,
   // rng draws): recorder (installed by the runner before this function),
-  // then Network, topology, meter, then connections in flow order. The network sees the run's shard
-  // group; with one shard every element lands on ctx.events() as before.
+  // then Network, topology, meter, then connections in flow order. The
+  // network sees the run's shard group; with one shard every element lands
+  // on ctx.events().
   topo::Network net(ctx.events(), &ctx.shards());
   const Section& topo_sec = spec.require_section("topology");
   auto topology =

@@ -37,15 +37,13 @@ std::vector<double> GoodputMeter::mbps() const {
 }
 
 std::vector<double> GoodputMeter::subflow_mbps(std::size_t i) const {
-  const SimTime elapsed = events_.now() - t0_;
   const mptcp::MptcpConnection& c = *conns_[i];
-  std::vector<double> out;
-  for (std::size_t r = 0; r < c.num_subflows(); ++r) {
+  std::vector<double> out(c.num_subflows(), 0.0);
+  const SimTime elapsed = events_.now() - t0_;
+  if (elapsed <= 0) return out;
+  for (std::size_t r = 0; r < out.size(); ++r) {
     const std::uint64_t base = r < sub_base_[i].size() ? sub_base_[i][r] : 0;
-    out.push_back(elapsed > 0 ? pkts_to_mbps(
-                                    c.subflow(r).packets_acked() - base,
-                                    elapsed)
-                              : 0.0);
+    out[r] = pkts_to_mbps(c.subflow(r).packets_acked() - base, elapsed);
   }
   return out;
 }
