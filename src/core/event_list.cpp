@@ -50,7 +50,7 @@ void EventList::switch_to_wheel() {
   // on level 0. The heap drains in (time, seq) order; per-slot seqs may
   // arrive out of order (a slot spans many times at higher levels), which
   // the wheel's lazy slot sort absorbs.
-  // mpsim-lint: allow(arena-discipline) — once per migration, not per event
+  // mpsim-analyze: allow(hot-alloc) — once per migration, not per event
   wheel_ = std::make_unique<TimingWheel>(static_cast<std::uint64_t>(now_));
   while (!heap_.empty()) {
     const Entry& e = heap_.top();

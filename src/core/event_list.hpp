@@ -20,7 +20,7 @@
 //   * Batching is exact: all same-time events of one source occupy a
 //     contiguous key range (no other source can interleave), so an element
 //     may service several of its same-time completions inside one dispatch
-//     without reordering anything (see net::Pipe's batched service mode).
+//     without reordering anything (see net::Pipe's head-armed service).
 //
 // Two interchangeable backends implement the queue, plus a policy that
 // switches between them at run time:

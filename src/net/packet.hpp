@@ -62,8 +62,9 @@ class Route {
 
 // FIFO of packets chained through their intrusive link hooks. O(1)
 // push/pop at both ends, no allocation ever (the hot-path discipline
-// tools/mpsim_lint.py enforces on queues). The caller guarantees a packet
-// is in at most one PacketFifo at a time; pop_* require a non-empty list.
+// tools/mpsim_analyze's hot-alloc rule enforces on queues). The caller
+// guarantees a packet is in at most one PacketFifo at a time; pop_*
+// require a non-empty list.
 class PacketFifo {
  public:
   bool empty() const { return head_ == nullptr; }

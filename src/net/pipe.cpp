@@ -1,21 +1,13 @@
 #include "net/pipe.hpp"
 
 #include "core/check.hpp"
-#include "core/env.hpp"
 
 namespace mpsim::net {
-
-bool Pipe::default_batched() {
-  static const bool batched =
-      env::env_choice("MPSIM_BATCH_SERVICE", "on", {"on", "off"}) == "on";
-  return batched;
-}
 
 Pipe::Pipe(EventList& events, std::string name, SimTime delay)
     : EventSource(events, std::move(name)),
       events_(events),
-      delay_(delay),
-      batched_(default_batched()) {
+      delay_(delay) {
   MPSIM_CHECK(delay_ >= 0, "propagation delay must be non-negative");
 }
 
@@ -32,8 +24,8 @@ void Pipe::admit(Packet& pkt, SimTime deliver_at) {
   in_flight_.push_back(pkt);
   // Head-armed: one pending wake per pipe, at the head's delivery time;
   // on_event re-arms after each batch, so a push onto a non-empty fifo
-  // never needs to schedule. Legacy: one wake per packet.
-  if (batched_ ? was_empty : true) events_.schedule_at(*this, deliver_at);
+  // never needs to schedule.
+  if (was_empty) events_.schedule_at(*this, deliver_at);
 }
 
 void Pipe::receive(Packet& pkt) { admit(pkt, events_.now() + delay_); }
@@ -44,20 +36,12 @@ void Pipe::receive_shipped(Packet& pkt, SimTime sent_at) {
 
 void Pipe::on_event() {
   MPSIM_CHECK(!in_flight_.empty(), "pipe wake-up with nothing in flight");
-  if (!batched_) {
-    // One wake-up was scheduled per packet, so exactly the due head is
-    // delivered here; arrivals are FIFO because delay is constant.
-    Packet* pkt = in_flight_.pop_front();
-    MPSIM_CHECK(pkt->link_due == events_.now(),
-                "pipe delivery must fire exactly on time");
-    pkt->advance();
-    return;
-  }
   // Deliver the entire due-now prefix, then re-arm at the new head. A
   // delivery's downstream effects may push more packets onto this pipe at
   // the same instant (zero-delay paths); the loop re-tests the head so
   // those go out in this same dispatch — exactly where their canonical
-  // keys would have dispatched them in legacy mode (key adjacency).
+  // keys would have dispatched them with one wake per packet (key
+  // adjacency).
   MPSIM_CHECK(in_flight_.front()->link_due == events_.now(),
               "pipe delivery must fire exactly on time");
   while (!in_flight_.empty() &&

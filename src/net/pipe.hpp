@@ -1,22 +1,18 @@
 // Propagation-delay element: delivers every packet `delay` after arrival,
 // preserving order. Pipes never drop.
 //
-// Two service disciplines, selected by MPSIM_BATCH_SERVICE (default on):
+// Head-armed service: at most ONE pending wake-up per pipe, armed at the
+// head packet's delivery time; each wake delivers the entire due-now
+// prefix, then re-arms at the new head. This keeps scheduler occupancy at
+// one entry per pipe instead of one per packet in flight — the dominant
+// per-event constant on dense datacenter topologies.
 //
-//  - Head-armed (batched): at most ONE pending wake-up per pipe, armed at
-//    the head packet's delivery time; each wake delivers the entire
-//    due-now prefix, then re-arms at the new head. This keeps scheduler
-//    occupancy at one entry per pipe instead of one per packet in flight
-//    — the dominant per-event constant on dense datacenter topologies.
-//  - Legacy (one wake per packet): the pre-batching discipline, kept as
-//    the equivalence oracle for tests.
-//
-// The two are dispatch-order identical: all of a pipe's same-time events
-// carry canonical keys (pipe order id, seq) that share the same high 32
-// bits, so no other source's same-time event can interleave between them
-// (key adjacency) — delivering the whole due-now prefix inside one
-// dispatch performs the same downstream calls in the same global order as
-// one dispatch per packet.
+// It is dispatch-order identical to one wake per packet: all of a pipe's
+// same-time events carry canonical keys (pipe order id, seq) that share
+// the same high 32 bits, so no other source's same-time event can
+// interleave between them (key adjacency) — delivering the whole due-now
+// prefix inside one dispatch performs the same downstream calls in the
+// same global order as one dispatch per packet.
 #pragma once
 
 #include <string>
@@ -43,20 +39,11 @@ class Pipe : public PacketSink, public EventSource {
   SimTime delay() const { return delay_; }
   EventList& events() const { return events_; }
 
-  // Test hook: override the process-wide MPSIM_BATCH_SERVICE default for
-  // this pipe (equivalence tests run both disciplines in one process).
-  void set_batched(bool batched) { batched_ = batched; }
-  bool batched() const { return batched_; }
-
-  // Process-wide default from MPSIM_BATCH_SERVICE (on|off), default on.
-  static bool default_batched();
-
  private:
   void admit(Packet& pkt, SimTime deliver_at);
 
   EventList& events_;
   SimTime delay_;
-  bool batched_;
   PacketFifo in_flight_;  // FIFO by arrival; link_due is the delivery time
 };
 

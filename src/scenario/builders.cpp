@@ -1,6 +1,6 @@
 // Every builtin registry entry, in one translation unit.
 //
-// tools/mpsim_lint.py's registry-discipline rule pins all add_topology /
+// tools/mpsim_analyze's registry-discipline rule pins all add_topology /
 // add_algorithm / add_traffic calls to this file and checks the keys are
 // lowercase and unique, so `mpsim list` and the spec grammar can never
 // drift apart or collide.

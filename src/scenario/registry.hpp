@@ -4,7 +4,7 @@
 // traffic model; each name is looked up in a registry of builders that
 // consume the spec section and assemble the corresponding piece of a
 // simulation. New topologies / CC variants / workloads plug in by adding
-// one registration in builders.cpp (tools/mpsim_lint.py's
+// one registration in builders.cpp (tools/mpsim_analyze's
 // registry-discipline rule keeps keys unique, lowercase, and registered in
 // exactly that one translation unit).
 //

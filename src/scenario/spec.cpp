@@ -188,14 +188,33 @@ SimTime parse_time(const std::string& text, const std::string& file,
                     "'" + text + "' is not a time (expected e.g. \"20ms\", "
                     "\"1.5s\", \"9min\")");
   }
-  if (unit == "ns") return from_ns(static_cast<std::int64_t>(mag));
-  if (unit == "us") return from_us(mag);
-  if (unit == "ms") return from_ms(mag);
-  if (unit == "s") return from_sec(mag);
-  if (unit == "min") return from_sec(mag * 60.0);
-  throw SpecError(file, line,
-                  "'" + text + "' has unknown time unit '" + unit +
-                  "' (use ns/us/ms/s/min)");
+  // The count is range-checked in nanoseconds before the integer
+  // conversion, which is undefined behaviour out of range. Unit lengths
+  // come from core/time.hpp, and each product equals the one the matching
+  // from_*() computes, so in-range values convert exactly as before.
+  const auto unit_ns = [](SimTime t) { return static_cast<double>(t); };
+  double ns = 0.0;
+  if (unit == "ns") {
+    ns = mag;
+  } else if (unit == "us") {
+    ns = mag * unit_ns(from_us(1.0));
+  } else if (unit == "ms") {
+    ns = mag * unit_ns(from_ms(1.0));
+  } else if (unit == "s") {
+    ns = mag * unit_ns(from_sec(1.0));
+  } else if (unit == "min") {
+    ns = mag * 60.0 * unit_ns(from_sec(1.0));
+  } else {
+    throw SpecError(file, line,
+                    "'" + text + "' has unknown time unit '" + unit +
+                    "' (use ns/us/ms/s/min)");
+  }
+  if (!(ns >= 0.0 && ns < static_cast<double>(kNever))) {
+    throw SpecError(file, line,
+                    "'" + text + "' is out of range (a time must be "
+                    "non-negative and below 2^63 ns, ~292 years)");
+  }
+  return static_cast<SimTime>(ns);
 }
 
 double parse_rate_bps(const std::string& text, const std::string& file,
@@ -239,6 +258,12 @@ std::uint64_t parse_bytes(const std::string& text, const std::string& file,
     throw SpecError(file, line,
                     "'" + text + "' has unknown size unit '" + unit +
                     "' (use B/kB/MB/pkt)");
+  }
+  // 2^64: the first byte count a uint64_t cannot hold.
+  if (!(bytes < 18446744073709551616.0)) {
+    throw SpecError(file, line,
+                    "'" + text + "' is out of range (a size must be below "
+                    "2^64 bytes)");
   }
   return static_cast<std::uint64_t>(bytes);
 }

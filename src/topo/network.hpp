@@ -102,14 +102,6 @@ class Network {
     return *pipes_.back();
   }
 
-  // Test hook: force every pipe created so far onto one service discipline
-  // (the batching-equivalence suite runs both in one process, overriding
-  // the cached MPSIM_BATCH_SERVICE default). Call after all topology and
-  // per-path elements exist, before the run.
-  void set_pipes_batched(bool batched) {
-    for (auto& p : pipes_) p->set_batched(batched);
-  }
-
   // Boundary in front of `pipe`, receiving on `src_events`' shard. Builds
   // the inline (same-shard) variant when source and pipe share an
   // EventList, the mailbox variant otherwise — so topology code calls this

@@ -13,8 +13,8 @@
 //   * Instrumentation sites go through MPSIM_TRACE(rec, builder): with no
 //     recorder installed the site costs one predicted-not-taken branch on a
 //     cached pointer — nothing is constructed, nothing is called.
-//     (tools/mpsim_lint.py's trace-discipline rule enforces that src/ hot
-//     paths never call append_unchecked() directly.)
+//     (tools/mpsim_analyze's trace-discipline rule enforces that src/
+//     outside trace/ never calls append_unchecked() directly.)
 //   * Nothing is formatted or written during the run; flush(sink) replays
 //     the ring chronologically into a TraceSink (CSV/JSONL/null) at run
 //     end.

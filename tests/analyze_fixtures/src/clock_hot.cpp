@@ -1,4 +1,5 @@
-// Fixture: wall-clock read inside an event handler -> hot-clock.
+// Fixture: wall-clock read inside an event handler -> determinism-clock
+// (hot half of the union scope).
 #include <chrono>
 
 struct LatencyProbe {

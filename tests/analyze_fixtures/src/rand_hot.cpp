@@ -1,4 +1,5 @@
-// Fixture: unseeded randomness inside an event handler -> hot-rand.
+// Fixture: unseeded randomness inside an event handler -> determinism-rand
+// (hot half of the union scope).
 #include <cstdlib>
 
 struct JitterSource {

@@ -1,4 +1,5 @@
-// Fixture: hand-scaled SimTime unit factor -> simtime-unit.
+// Fixture: hand-scaled SimTime unit factor in an event handler ->
+// simtime-discipline.
 using SimTime = long long;
 
 struct Rescheduler {

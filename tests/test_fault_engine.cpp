@@ -484,8 +484,9 @@ TEST(FaultSpecErrors, UnknownAction) {
 }
 
 TEST(FaultSpecErrors, NegativeTime) {
+  // Negative times stop at the spec front door (parse_time).
   const auto e = fault_error(kTwoLinkBase, "script = \"-1s down link1/q\"");
-  EXPECT_NE(std::string(e.what()).find("fault time must be non-negative"),
+  EXPECT_NE(std::string(e.what()).find("'-1s' is out of range"),
             std::string::npos)
       << e.what();
 }
@@ -508,9 +509,14 @@ TEST(FaultSpecErrors, WrongArgCount) {
 TEST(FaultSpecErrors, NegativeRampDuration) {
   const auto e = fault_error(kTwoLinkBase,
                              "script = \"1s ramp 5Mbps -2s 4 link1/q\"");
-  EXPECT_NE(std::string(e.what()).find("ramp duration must be positive"),
+  EXPECT_NE(std::string(e.what()).find("'-2s' is out of range"),
             std::string::npos)
       << e.what();
+  const auto zero = fault_error(kTwoLinkBase,
+                                "script = \"1s ramp 5Mbps 0s 4 link1/q\"");
+  EXPECT_NE(std::string(zero.what()).find("ramp duration must be positive"),
+            std::string::npos)
+      << zero.what();
 }
 
 TEST(FaultSpecErrors, RampNeedsSteps) {
@@ -539,10 +545,15 @@ TEST(FaultSpecErrors, LossProbabilityNotANumber) {
 TEST(FaultSpecErrors, NegativeLossBurstDuration) {
   const auto e = fault_error(kWirelessBase,
                              "script = \"1s loss_burst 0.5 -1s wifi/loss\"");
-  EXPECT_NE(
-      std::string(e.what()).find("loss burst duration must be positive"),
-      std::string::npos)
+  EXPECT_NE(std::string(e.what()).find("'-1s' is out of range"),
+            std::string::npos)
       << e.what();
+  const auto zero = fault_error(kWirelessBase,
+                                "script = \"1s loss_burst 0.5 0s wifi/loss\"");
+  EXPECT_NE(
+      std::string(zero.what()).find("loss burst duration must be positive"),
+      std::string::npos)
+      << zero.what();
 }
 
 TEST(FaultSpecErrors, CorruptCountTooSmall) {

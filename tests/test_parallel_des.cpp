@@ -287,7 +287,7 @@ measure = "200ms"
   }
 }
 
-// --- pipe service disciplines -------------------------------------------
+// --- head-armed pipe service across shard counts ------------------------
 
 struct DirectStats {
   std::uint64_t delivered0;
@@ -298,10 +298,8 @@ struct DirectStats {
 };
 
 // A sharded FatTree simulation built directly against the C++ API (the
-// same construction the scenario builders perform), with every pipe forced
-// onto one service discipline.
-DirectStats run_fattree_direct(int shards, bool batched,
-                               ShardGroup::Exec exec) {
+// same construction the scenario builders perform).
+DirectStats run_fattree_direct(int shards, ShardGroup::Exec exec) {
   runner::RunContext ctx("direct", SchedulerKind::kWheel, shards);
   ctx.shards().set_exec_for_test(exec);
   topo::Network net(ctx.events(), &ctx.shards());
@@ -319,35 +317,27 @@ DirectStats run_fattree_direct(int shards, bool batched,
     conn->start(0);
     conns.push_back(std::move(conn));
   }
-  // All per-path elements exist now; flip every pipe in one sweep.
-  net.set_pipes_batched(batched);
   ctx.run_until(from_ms(60));
   return {conns[0]->delivered_pkts(), conns[1]->delivered_pkts(),
           ctx.shards().events_processed()};
 }
 
-TEST(ParallelDes, BatchedAndLegacyPipeServiceBitIdentical) {
-  // Head-armed batching changes how many scheduler entries exist, never
-  // what the simulation computes — across shard counts too, where batched
-  // wakes interleave with mailbox drains.
-  const DirectStats ref =
-      run_fattree_direct(1, /*batched=*/true, ShardGroup::Exec::kInline);
+TEST(ParallelDes, PipeServiceBitIdenticalAcrossShardCounts) {
+  // Head-armed pipe wakes interleave with mailbox drains when sharded;
+  // neither may change what the simulation computes.
+  const DirectStats ref = run_fattree_direct(1, ShardGroup::Exec::kInline);
   EXPECT_GT(ref.delivered0, 0u);
   EXPECT_GT(ref.delivered1, 0u);
   for (int shards : {1, 2, 4}) {
-    const DirectStats on =
-        run_fattree_direct(shards, true, ShardGroup::Exec::kInline);
-    const DirectStats off =
-        run_fattree_direct(shards, false, ShardGroup::Exec::kInline);
-    EXPECT_EQ(ref, on) << shards << " shards, batched";
-    EXPECT_EQ(ref, off) << shards << " shards, legacy";
+    EXPECT_EQ(ref, run_fattree_direct(shards, ShardGroup::Exec::kInline))
+        << shards << " shards";
   }
 }
 
 // Micro property: a batch delivery never reorders same-time ties. Packets
 // entering one pipe in some order at the same instant leave in that order,
-// under both disciplines, interleaved identically with a second pipe's
-// same-time deliveries (canonical keys order by construction id).
+// and two pipes' same-time deliveries interleave by canonical key
+// (construction id).
 class OrderSink final : public net::PacketSink {
  public:
   OrderSink(std::string name, std::vector<std::pair<SimTime, std::uint64_t>>& log,
@@ -367,38 +357,30 @@ class OrderSink final : public net::PacketSink {
 };
 
 TEST(ParallelDes, BatchBoundariesPreserveSameTimeTieOrder) {
-  auto run = [](bool batched) {
-    EventList events(SchedulerKind::kHeap);
-    net::Pipe p1(events, "p1", from_us(50));
-    net::Pipe p2(events, "p2", from_us(50));
-    p1.set_batched(batched);
-    p2.set_batched(batched);
-    std::vector<std::pair<SimTime, std::uint64_t>> log;
-    OrderSink s1("s1", log, events);
-    OrderSink s2("s2", log, events);
-    net::Route r1({&p1, &s1});
-    net::Route r2({&p2, &s2});
-    // Interleave 16 same-time sends across the two pipes: all 16 arrive
-    // at exactly t=50us, so dispatch order is decided purely by the
-    // canonical (order id, seq) keys.
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      net::Packet& pkt = net::Packet::alloc(events);
-      pkt.subflow_seq = i;
-      pkt.send_on(i % 2 == 0 ? r1 : r2);
-    }
-    events.run_all();
-    return log;
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  ASSERT_EQ(on.size(), 16u);
-  ASSERT_EQ(on, off) << "service discipline changed a same-time tie order";
+  EventList events(SchedulerKind::kHeap);
+  net::Pipe p1(events, "p1", from_us(50));
+  net::Pipe p2(events, "p2", from_us(50));
+  std::vector<std::pair<SimTime, std::uint64_t>> log;
+  OrderSink s1("s1", log, events);
+  OrderSink s2("s2", log, events);
+  net::Route r1({&p1, &s1});
+  net::Route r2({&p2, &s2});
+  // Interleave 16 same-time sends across the two pipes: all 16 arrive at
+  // exactly t=50us, so dispatch order is decided purely by the canonical
+  // (order id, seq) keys.
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    net::Packet& pkt = net::Packet::alloc(events);
+    pkt.subflow_seq = i;
+    pkt.send_on(i % 2 == 0 ? r1 : r2);
+  }
+  events.run_all();
+  ASSERT_EQ(log.size(), 16u);
   // All of pipe 1's packets (even seqs) drain before pipe 2's (odd seqs):
   // p1 was constructed first, so its canonical keys sort lower; within a
   // pipe, FIFO by seq.
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(on[i].second, 2 * i) << "pipe 1 tie order broken at " << i;
-    EXPECT_EQ(on[8 + i].second, 2 * i + 1)
+    EXPECT_EQ(log[i].second, 2 * i) << "pipe 1 tie order broken at " << i;
+    EXPECT_EQ(log[8 + i].second, 2 * i + 1)
         << "pipe 2 tie order broken at " << i;
   }
 }

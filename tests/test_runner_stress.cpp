@@ -113,9 +113,9 @@ TEST(RunnerStress, AdaptiveBackendMatchesHeapUnderContention) {
     for (int k = 0; k < njobs; ++k) {
       r.add("seed" + std::to_string(k), [k, kind](RunContext& ctx) {
         if (kind == SchedulerKind::kAdaptive) {
-          // Forced low enough to migrate mid-run even with batched pipe
-          // service, which keeps at most one pending wake per pipe and so
-          // shrinks the schedule far below the legacy per-packet counts.
+          // Forced low enough to migrate mid-run even with head-armed
+          // pipe service, which keeps at most one pending wake per pipe
+          // and so shrinks the schedule far below one entry per packet.
           ctx.events().set_adaptive_policy(/*high=*/10, /*low=*/4,
                                            /*cooldown=*/128);
         }

@@ -119,6 +119,11 @@ TEST(SpecUnits, TimeParsing) {
   EXPECT_THROW(parse_time("20", "t", 3), SpecError);       // unit-less
   EXPECT_THROW(parse_time("5parsec", "t", 3), SpecError);  // unknown unit
   EXPECT_THROW(parse_time("fast", "t", 3), SpecError);
+  // Out of range: the integer conversion would be undefined behaviour.
+  EXPECT_THROW(parse_time("-5ms", "t", 3), SpecError);
+  EXPECT_THROW(parse_time("1e300s", "t", 3), SpecError);
+  EXPECT_THROW(parse_time("1e10s", "t", 3), SpecError);  // >= 2^63 ns
+  EXPECT_EQ(parse_time("9e9s", "t", 3), from_sec(9e9));  // just below
 }
 
 TEST(SpecUnits, RateParsing) {
@@ -139,6 +144,9 @@ TEST(SpecUnits, SizeParsing) {
             25u * net::kDataPacketBytes);
   EXPECT_THROW(parse_bytes("64", "b", 1), SpecError);
   EXPECT_THROW(parse_bytes("64KB", "b", 1), SpecError);  // units exact-case
+  EXPECT_THROW(parse_bytes("1e25B", "b", 1), SpecError);  // >= 2^64 bytes
+  EXPECT_THROW(parse_bytes("2e19B", "b", 1), SpecError);
+  EXPECT_EQ(parse_bytes("1e19B", "b", 1), 10000000000000000000u);
 }
 
 TEST(SpecErrors, DiagnosticsCarryFileAndLine) {
@@ -152,6 +160,30 @@ TEST(SpecErrors, DiagnosticsCarryFileAndLine) {
   EXPECT_EQ(e.file(), "diag.toml");
   EXPECT_EQ(e.line(), 4);
   EXPECT_NE(std::string(e.what()).find("diag.toml:4"), std::string::npos);
+
+  // Out-of-range times and sizes fail at their own line instead of
+  // reaching a float-to-integer conversion (undefined behaviour) or the
+  // event list ("cannot schedule in the past").
+  struct Case {
+    const char* find;     // text in kBase to replace
+    const char* replace;  // its out-of-range replacement
+    int line;             // the replacement's line in the spec
+  };
+  const Case cases[] = {
+      {"link1_delay = \"20ms\"", "link1_delay = \"1e300s\"", 5},
+      {"link1_delay = \"20ms\"", "link1_delay = \"-5ms\"", 5},
+      {"link1_delay = \"20ms\"", "link1_buf = \"1e25B\"", 5},
+      {"subflows = 2", "start = \"-1s\"", 15},
+  };
+  for (const Case& c : cases) {
+    std::string text = kBase;
+    text.replace(text.find(c.find), std::string(c.find).size(), c.replace);
+    const SpecError oor = error_of([&] { load(text).validate(); });
+    EXPECT_EQ(oor.file(), "test.toml") << c.replace;
+    EXPECT_EQ(oor.line(), c.line) << c.replace;
+    EXPECT_NE(std::string(oor.what()).find("out of range"), std::string::npos)
+        << c.replace << ": " << oor.what();
+  }
 }
 
 TEST(SpecValidation, UnknownKeyRejected) {

@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
-"""mpsim_analyze: whole-program call-graph analyzer for the simulator.
+"""mpsim_analyze: the simulator's static-analysis tool.
 
-Parses every translation unit named by compile_commands.json (plus all
-headers under src/), builds the project call graph, computes the **hot
-set** — everything reachable from the event-dispatch roots — and runs the
-determinism/ownership rule passes (rules.py) over it. This replaces
-tools/mpsim_lint.py's hard-coded hot-file list with computed reachability:
-a helper called from Subflow::receive cannot escape checking by living in
-an unlisted file.
+Lexes every C++ file under src/, parses the translation units named by
+compile_commands.json (plus all headers) into a project call graph,
+computes the **hot set** — everything reachable from the event-dispatch
+roots — and runs the rule passes (rules.py): file-wide rules over every
+file, hot rules over the hot function bodies, and union rules over both.
+A helper called from Subflow::receive cannot escape the hot rules by
+living in an unlisted file.
 
 Usage:
   tools/mpsim_analyze --compile-commands build/compile_commands.json
-  tools/mpsim_analyze --src-root tests/analyze_fixtures/src
+  tools/mpsim_analyze --src-root src        (no build tree needed)
 Options:
   --dump-hotset          print the hot functions and exit
   --dump-callgraph       print every function and its resolved callees
   --dump-hot-files FILE  write the hot file list ('-' = stdout)
-  --emit-hot-ranges FILE write hot body ranges as path:start:end (feeds
-                         mpsim_lint --arena-hot-ranges)
-  --check-stale-allows   also fail on allow comments (both tools') that no
-                         longer suppress anything
-  --with-lint            additionally run mpsim_lint over src/ with its
-                         arena-discipline rule rebased onto the computed
-                         hot ranges (one process, one exit code)
+  --check-stale-allows   also fail on allow comments that no longer
+                         suppress anything
 
 Exit status: 0 clean, 1 findings/stale allows, 2 usage error.
 """
@@ -36,44 +31,45 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import hotset                              # noqa: E402
 import rules                               # noqa: E402
-import stale                               # noqa: E402
+from callgraph import CallGraph            # noqa: E402
+from cpp_parser import parse_file          # noqa: E402
+from lexer import lex                      # noqa: E402
 
-SOURCE_GLOBS = hotset.SOURCE_GLOBS
+SOURCE_GLOBS = ("*.cpp", "*.hpp", "*.h")
 
 
-def discover_files(args, root: Path) -> list:
-    """Relative paths of every file to analyze."""
-    found: set = set()
+def _sources(base: Path, rel_to: Path, globs=SOURCE_GLOBS) -> set:
+    return {p.relative_to(rel_to).as_posix()
+            for g in globs for p in base.rglob(g)}
+
+
+def discover_files(args, root: Path):
+    """(root, files to check, files whose definitions form the call graph),
+    paths relative to root."""
     if args.src_root:
-        base = Path(args.src_root)
-        if not base.is_dir():
-            sys.exit(f"mpsim_analyze: no such directory: {base}")
-        root = base
-        for g in SOURCE_GLOBS:
-            found.update(p.relative_to(base).as_posix()
-                         for p in base.rglob(g))
-    else:
-        cc = Path(args.compile_commands)
-        if not cc.is_file():
-            sys.exit(f"mpsim_analyze: no such file: {cc} "
-                     "(configure cmake with CMAKE_EXPORT_COMPILE_COMMANDS)")
-        src = (root / "src").resolve()
-        for entry in json.loads(cc.read_text()):
-            f = Path(entry["file"])
-            if not f.is_absolute():
-                f = (Path(entry["directory"]) / f).resolve()
-            try:
-                found.add(
-                    (Path("src") / f.resolve().relative_to(src)).as_posix())
-            except ValueError:
-                continue  # tests/bench/examples TU — out of scope
-        # Headers never appear as TUs; inline hot-path code lives there.
-        for g in ("*.hpp", "*.h"):
-            found.update(p.relative_to(root).as_posix()
-                         for p in (root / "src").rglob(g))
-    return sorted(found), root
+        root = Path(args.src_root)
+        if not root.is_dir():
+            sys.exit(f"mpsim_analyze: no such directory: {root}")
+        files = sorted(_sources(root, root))
+        return root, files, files
+    cc = Path(args.compile_commands)
+    if not cc.is_file():
+        sys.exit(f"mpsim_analyze: no such file: {cc} "
+                 "(configure cmake with CMAKE_EXPORT_COMPILE_COMMANDS)")
+    src = (root / "src").resolve()
+    graph: set = set()
+    for entry in json.loads(cc.read_text()):
+        f = Path(entry["file"])
+        if not f.is_absolute():
+            f = Path(entry["directory"]) / f
+        try:
+            graph.add((Path("src") / f.resolve().relative_to(src)).as_posix())
+        except ValueError:
+            continue  # tests/bench/examples TU — out of scope
+    # Headers never appear as TUs; inline hot-path code lives there.
+    graph |= _sources(root / "src", root, ("*.hpp", "*.h"))
+    return root, sorted(_sources(root / "src", root) | graph), sorted(graph)
 
 
 def main() -> int:
@@ -91,18 +87,19 @@ def main() -> int:
     ap.add_argument("--dump-hotset", action="store_true")
     ap.add_argument("--dump-callgraph", action="store_true")
     ap.add_argument("--dump-hot-files", metavar="FILE")
-    ap.add_argument("--emit-hot-ranges", metavar="FILE")
     ap.add_argument("--check-stale-allows", action="store_true")
-    ap.add_argument("--with-lint", action="store_true")
     args = ap.parse_args()
 
     root = Path(args.root) if args.root \
         else Path(__file__).resolve().parent.parent.parent
-    files, root = discover_files(args, root)
+    root, files, graph_files = discover_files(args, root)
     if not files:
         sys.exit("mpsim_analyze: nothing to analyze")
 
-    lexed_files, defs, graph, hot = hotset.analyze_tree(root, files)
+    lexed_files = {rel: lex(rel, (root / rel).read_text()) for rel in files}
+    defs = [d for rel in graph_files for d in parse_file(lexed_files[rel])]
+    graph = CallGraph(defs)
+    hot = graph.hot_set()
 
     if args.dump_callgraph:
         graph.dump(sys.stdout)
@@ -121,38 +118,16 @@ def main() -> int:
             Path(args.dump_hot_files).write_text(out)
         return 0
 
-    hot_ranges = hotset.hot_ranges(hot)
-    if args.emit_hot_ranges:
-        Path(args.emit_hot_ranges).write_text(
-            "".join(f"{p}:{a}:{b}\n" for p, a, b in hot_ranges))
-
     findings, used_allows = rules.run_rules(lexed_files, hot)
     for f in findings:
         print(f)
-
     failures = len(findings)
 
     if args.check_stale_allows:
-        for path, line in stale.stale_analyze_allows(lexed_files,
-                                                     used_allows):
-            print(f"{path}:{line}: [stale-allow] mpsim-analyze allow "
-                  "suppresses nothing — delete it")
+        for path, line in rules.stale_allows(lexed_files, used_allows):
+            print(f"{path}:{line}: [stale-allow] allow comment suppresses "
+                  "nothing — delete it")
             failures += 1
-        for path, line in stale.stale_lint_allows(root, files,
-                                                  arena_hot_ranges=hot_ranges):
-            print(f"{path}:{line}: [stale-allow] mpsim-lint allow "
-                  "suppresses nothing — delete it")
-            failures += 1
-
-    if args.with_lint:
-        lint = stale._import_mpsim_lint()
-        lint_findings: list = []
-        for rel in files:
-            lint.lint_lines(rel, (root / rel).read_text().splitlines(),
-                            lint_findings, arena_hot_ranges=hot_ranges)
-        for lfind in lint_findings:
-            print(lfind)
-        failures += len(lint_findings)
 
     if failures:
         print(f"\nmpsim_analyze: {failures} finding(s); hot set "
