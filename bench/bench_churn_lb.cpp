@@ -24,7 +24,7 @@
 #include "cc/mptcp_lia.hpp"
 #include "harness.hpp"
 #include "mptcp/path_manager.hpp"
-#include "net/variable_rate_queue.hpp"
+#include "net/queue.hpp"
 #include "topo/network.hpp"
 #include "traffic/poisson_flows.hpp"
 
@@ -51,10 +51,10 @@ Result run(EventList& events, std::uint64_t arrival_seed) {
   auto l1 = net.add_link("l1", 400e6, from_ms(5),
                          topo::bdp_bytes(400e6, from_ms(10)));
   auto& a1 = net.add_pipe("a1", from_ms(5));
-  auto l2 = net.add_variable_link("l2", 400e6, from_ms(5),
-                                  topo::bdp_bytes(400e6, from_ms(10)));
+  auto l2 = net.add_link("l2", 400e6, from_ms(5),
+                         topo::bdp_bytes(400e6, from_ms(10)));
   auto& a2 = net.add_pipe("a2", from_ms(5));
-  auto& vq = *static_cast<net::VariableRateQueue*>(l2.queue);
+  auto& vq = *l2.queue;
 
   mptcp::PathManagerConfig pm_cfg;
   pm_cfg.strategy = mptcp::PathStrategy::kThreshold;

@@ -17,7 +17,7 @@
 #include "cc/mptcp_lia.hpp"
 #include "example_trace.hpp"
 #include "mptcp/connection.hpp"
-#include "net/variable_rate_queue.hpp"
+#include "net/queue.hpp"
 #include "stats/monitors.hpp"
 #include "topo/network.hpp"
 
@@ -28,13 +28,12 @@ int main() {
   topo::Network net(events);
 
   // WiFi: 14.4 Mb/s, 20 ms RTT, shallow buffer.
-  auto& wifi_q = net.add_variable_queue("wifi", 14.4e6,
-                                        25 * net::kDataPacketBytes);
+  auto& wifi_q = net.add_queue("wifi", 14.4e6, 25 * net::kDataPacketBytes);
   auto& wifi_pipe = net.add_pipe("wifi/p", from_ms(10));
   auto& wifi_ack = net.add_pipe("wifi/a", from_ms(10));
   // 3G: 2.1 Mb/s, 100 ms base RTT, deep buffer (overbuffered, as measured
   // in the paper).
-  auto& g3_q = net.add_variable_queue("3g", 2.1e6, 200 * net::kDataPacketBytes);
+  auto& g3_q = net.add_queue("3g", 2.1e6, 200 * net::kDataPacketBytes);
   auto& g3_pipe = net.add_pipe("3g/p", from_ms(50));
   auto& g3_ack = net.add_pipe("3g/a", from_ms(50));
 

@@ -8,7 +8,6 @@
 #include "mptcp/connection.hpp"
 #include "net/lossy_link.hpp"
 #include "net/queue.hpp"
-#include "net/variable_rate_queue.hpp"
 #include "trace/record.hpp"
 #include "trace/trace.hpp"
 
@@ -34,7 +33,6 @@ const char* action_name(Action a) {
 const char* target_kind_name(TargetKind k) {
   switch (k) {
     case TargetKind::kQueue: return "queue";
-    case TargetKind::kVariableQueue: return "variable-rate queue";
     case TargetKind::kLossyLink: return "loss element";
     case TargetKind::kConnection: return "connection";
   }
@@ -52,16 +50,6 @@ void TargetRegistry::add_queue(const std::string& name, net::Queue& q) {
   t.name = name;
   t.kind = TargetKind::kQueue;
   t.queue = &q;
-  add(std::move(t));
-}
-
-void TargetRegistry::add_variable_queue(const std::string& name,
-                                        net::VariableRateQueue& q) {
-  Target t;
-  t.name = name;
-  t.kind = TargetKind::kVariableQueue;
-  t.queue = &q;
-  t.vqueue = &q;
   add(std::move(t));
 }
 
@@ -150,8 +138,7 @@ FaultInjector::FaultInjector(EventList& events, const TargetRegistry& targets,
       case Action::kUp:
       case Action::kRate:
       case Action::kRamp:
-        MPSIM_CHECK(t->vqueue != nullptr,
-                    "rate faults need a variable-rate queue target");
+        MPSIM_CHECK(t->queue != nullptr, "rate faults need a queue target");
         break;
       case Action::kLoss:
       case Action::kLossBurst:
@@ -274,8 +261,8 @@ void FaultInjector::apply(const Step& s) {
       // API users and random processes colliding with scripts.
       MPSIM_CHECK(st.saved_rate < 0.0,
                   "overlapping down/down fault on one target");
-      st.saved_rate = t->vqueue->rate_bps();
-      t->vqueue->set_rate(0.0);
+      st.saved_rate = t->queue->rate_bps();
+      t->queue->set_rate(0.0);
       traced_value = 0.0;
       if (monitor_ != nullptr) {
         monitor_->on_outage_start();
@@ -287,7 +274,7 @@ void FaultInjector::apply(const Step& s) {
       const double rate = s.value >= 0.0 ? s.value : st.saved_rate;
       MPSIM_CHECK(rate >= 0.0, "'up' fault without a preceding 'down'");
       st.saved_rate = -1.0;
-      t->vqueue->set_rate(rate);
+      t->queue->set_rate(rate);
       traced_value = rate;
       if (monitor_ != nullptr) {
         monitor_->on_outage_end();
@@ -297,12 +284,12 @@ void FaultInjector::apply(const Step& s) {
     }
     case Action::kRate:
       MPSIM_CHECK(s.value >= 0.0, "rate fault needs a non-negative rate");
-      t->vqueue->set_rate(s.value);
+      t->queue->set_rate(s.value);
       break;
     case Action::kRamp: {
       MPSIM_CHECK(s.value >= 0.0 && s.duration > 0 && s.count >= 1,
                   "ramp fault needs a rate, a positive duration and steps");
-      const double from = t->vqueue->rate_bps();
+      const double from = t->queue->rate_bps();
       const SimTime dt = s.duration / s.count;
       for (int k = 1; k <= s.count; ++k) {
         Step step;
@@ -325,7 +312,7 @@ void FaultInjector::apply(const Step& s) {
       break;
     }
     case Action::kRampStep:
-      t->vqueue->set_rate(s.value);
+      t->queue->set_rate(s.value);
       break;
     case Action::kLoss:
       MPSIM_CHECK(s.value >= 0.0 && s.value <= 1.0,

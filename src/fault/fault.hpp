@@ -29,7 +29,6 @@
 
 namespace mpsim::net {
 class Queue;
-class VariableRateQueue;
 class LossyLink;
 }  // namespace mpsim::net
 
@@ -47,7 +46,7 @@ namespace mpsim::fault {
 // trailing entries are internal steps the injector synthesizes (loss-burst
 // restores, ramp steps) and are never parsed from a plan.
 enum class Action : std::uint8_t {
-  kDown = 0,     // variable queue -> rate 0, remembering the prior rate
+  kDown = 0,     // queue -> rate 0, remembering the prior rate
   kUp,           // restore the remembered rate (or an explicit one)
   kRate,         // set an explicit rate
   kRamp,         // step the rate to a target over a duration
@@ -64,7 +63,6 @@ const char* action_name(Action a);
 // What kind of element a registered target is.
 enum class TargetKind : std::uint8_t {
   kQueue,
-  kVariableQueue,
   kLossyLink,
   kConnection,
 };
@@ -73,19 +71,17 @@ const char* target_kind_name(TargetKind k);
 struct Target {
   std::string name;
   TargetKind kind = TargetKind::kQueue;
-  net::Queue* queue = nullptr;           // kQueue and kVariableQueue
-  net::VariableRateQueue* vqueue = nullptr;  // kVariableQueue only
+  net::Queue* queue = nullptr;           // kQueue only
   net::LossyLink* lossy = nullptr;       // kLossyLink only
   mptcp::MptcpConnection* conn = nullptr;  // kConnection only
 };
 
-// Name -> element map. topo::Network registers queues, variable-rate
-// queues and loss elements as it constructs them; connections are added by
-// whoever owns them (the scenario engine, a bench, a test).
+// Name -> element map. topo::Network registers queues and loss elements
+// as it constructs them; connections are added by whoever owns them (the
+// scenario engine, a bench, a test).
 class TargetRegistry {
  public:
   void add_queue(const std::string& name, net::Queue& q);
-  void add_variable_queue(const std::string& name, net::VariableRateQueue& q);
   void add_lossy(const std::string& name, net::LossyLink& l);
   void add_connection(const std::string& name, mptcp::MptcpConnection& c);
 
@@ -119,10 +115,10 @@ struct FaultEvent {
   int count = 0;
 };
 
-// A seeded-random outage process on one variable-rate queue: alternating
-// exponential up/down periods, generated until `until`. `salt` is mixed
-// with the run seed so two processes in one plan draw independent streams
-// while the whole plan stays a pure function of the run seed.
+// A seeded-random outage process on one queue: alternating exponential
+// up/down periods, generated until `until`. `salt` is mixed with the run
+// seed so two processes in one plan draw independent streams while the
+// whole plan stays a pure function of the run seed.
 struct RandomOutage {
   std::string target;
   SimTime mean_up = 0;

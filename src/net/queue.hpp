@@ -1,14 +1,24 @@
-// Drop-tail FIFO queue with a finite byte buffer and a fixed service rate.
+// Drop-tail FIFO queue with a finite byte buffer and a service rate that
+// can change at runtime.
 //
 // The queue models the serialization of packets onto a link: one packet is
 // "in service" at a time and departs after size*8/rate seconds, at which
 // point it advances to the next hop (normally a Pipe carrying the link's
 // propagation delay). Arrivals that would overflow the buffer are dropped at
 // the tail and counted, giving each link's loss rate.
+//
+// set_rate changes the link speed immediately: the packet in service has
+// its remaining transmission time rescaled to the new rate. A rate of 0 is
+// an outage: the head packet freezes, arrivals queue (or drop at the tail),
+// and service resumes when the rate becomes nonzero. This is how the
+// paper's wireless links (§5) are modelled — WiFi fading, 3G speed bursts
+// and the mobile walk of Fig. 17 are scripted rate changes — and how the
+// fault engine takes any link down.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/arena.hpp"
 #include "core/event_list.hpp"
@@ -19,13 +29,18 @@ namespace mpsim::net {
 
 class Queue : public PacketSink, public EventSource {
  public:
-  // `rate_bps` link speed; `max_bytes` buffer capacity (queued + in service).
+  // `rate_bps` initial link speed (> 0); `max_bytes` buffer capacity
+  // (queued + in service).
   Queue(EventList& events, std::string name, double rate_bps,
         std::uint64_t max_bytes);
 
   void receive(Packet& pkt) override;
   void on_event() override;
   const std::string& sink_name() const override { return EventSource::name(); }
+
+  // Change the link speed now. `rate_bps == 0` suspends service (outage).
+  void set_rate(double rate_bps);
+  bool in_outage() const { return rate_bps_ == 0.0; }
 
   // Fault-injection primitive: drop up to `max_pkts` waiting packets from
   // the tail (the packet in service is not interrupted). Models buffer
@@ -59,7 +74,7 @@ class Queue : public PacketSink, public EventSource {
   // rate (start_service runs once per packet per hop; the recompute-on-match
   // expressions are the exact FP operations of the fallback, so memoized and
   // direct answers are bit-identical). The memo revalidates against
-  // rate_bps_, which VariableRateQueue::set_rate may change mid-run.
+  // rate_bps_, which set_rate may change mid-run.
   SimTime service_time(const Packet& pkt) const {
     if (rate_bps_ != memo_rate_) {
       memo_rate_ = rate_bps_;
@@ -73,6 +88,8 @@ class Queue : public PacketSink, public EventSource {
     return from_sec(static_cast<double>(pkt.size_bytes) * 8.0 / rate_bps_);
   }
   void start_service();
+  // Reschedule the in-service packet's departure after a rate change.
+  void reschedule_head();
 
   EventList& events_;
   PacketFifo fifo_;  // waiting packets; head-of-line is in service
@@ -81,6 +98,11 @@ class Queue : public PacketSink, public EventSource {
   bool busy_ = false;
   Packet* in_service_ = nullptr;
   SimTime service_done_at_ = 0;
+
+  // Fraction of the in-service packet already transmitted when the last
+  // rate change happened, plus when that was.
+  double fraction_done_ = 0.0;
+  SimTime fraction_as_of_ = 0;
 
   // service_time() memo; memo_rate_ = -1 forces a fill on first use.
   mutable double memo_rate_ = -1.0;
@@ -95,6 +117,26 @@ class Queue : public PacketSink, public EventSource {
   // Flight recorder, cached at construction (nullptr = tracing off).
   trace::TraceRecorder* trace_ = nullptr;
   std::uint16_t trace_id_ = 0;
+};
+
+// Applies a scripted sequence of rate changes to a Queue. Entries must be
+// sorted by time. Used to model mobility traces.
+class RateSchedule : public EventSource {
+ public:
+  struct Change {
+    SimTime at;
+    double rate_bps;
+  };
+
+  RateSchedule(EventList& events, Queue& target, std::vector<Change> changes);
+
+  void on_event() override;
+
+ private:
+  EventList& events_;
+  Queue& target_;
+  std::vector<Change> changes_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace mpsim::net

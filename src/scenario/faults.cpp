@@ -166,8 +166,8 @@ ParsedFaults parse_fault_plan(const Section& sec,
 
     if (action == "down") {
       want_args(0, "<time> down <target>");
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
+      require_kind(sec, line, target, action, target.queue != nullptr,
+                   "queue");
       ev.action = fault::Action::kDown;
       edges.push_back({at, true, line, target_name});
     } else if (action == "up") {
@@ -175,8 +175,8 @@ ParsedFaults parse_fault_plan(const Section& sec,
         sec.fail_at(line, "'up' needs '<time> up [rate] <target>', got '" +
                               item->str + "'");
       }
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
+      require_kind(sec, line, target, action, target.queue != nullptr,
+                   "queue");
       ev.action = fault::Action::kUp;
       if (args == 1) {
         ev.value = parse_rate_bps(tok[2], sec.file(), line);
@@ -184,14 +184,14 @@ ParsedFaults parse_fault_plan(const Section& sec,
       edges.push_back({at, false, line, target_name});
     } else if (action == "rate") {
       want_args(1, "<time> rate <rate> <target>");
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
+      require_kind(sec, line, target, action, target.queue != nullptr,
+                   "queue");
       ev.action = fault::Action::kRate;
       ev.value = parse_rate_bps(tok[2], sec.file(), line);
     } else if (action == "ramp") {
       want_args(3, "<time> ramp <rate> <duration> <steps> <target>");
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
+      require_kind(sec, line, target, action, target.queue != nullptr,
+                   "queue");
       ev.action = fault::Action::kRamp;
       ev.value = parse_rate_bps(tok[2], sec.file(), line);
       ev.duration = env.scaled(parse_time(tok[3], sec.file(), line));
@@ -268,8 +268,8 @@ ParsedFaults parse_fault_plan(const Section& sec,
     const std::string& target_name = tok[0];
     const fault::Target& target =
         resolve_target(sec, line, targets, target_name);
-    require_kind(sec, line, target, "flap", target.vqueue != nullptr,
-                 "variable-rate queue");
+    require_kind(sec, line, target, "flap", target.queue != nullptr,
+                 "queue");
     SimTime start = 0, period = 0, down = 0;
     int count = 0;
     bool saw_start = false, saw_period = false, saw_down = false,
@@ -330,7 +330,7 @@ ParsedFaults parse_fault_plan(const Section& sec,
     const fault::Target& target =
         resolve_target(sec, line, targets, ro.target);
     require_kind(sec, line, target, "random_outage",
-                 target.vqueue != nullptr, "variable-rate queue");
+                 target.queue != nullptr, "queue");
     for (const Edge& e : edges) {
       if (e.target == ro.target) {
         sec.fail_at(line, "target '" + ro.target +

@@ -26,7 +26,6 @@
 #include "net/packet.hpp"
 #include "net/pipe.hpp"
 #include "net/queue.hpp"
-#include "net/variable_rate_queue.hpp"
 
 namespace mpsim::topo {
 
@@ -81,15 +80,6 @@ class Network {
         std::make_unique<net::Queue>(events, name, rate_bps, buf_bytes));
     faults_.add_queue(name, *queues_.back());
     return *queues_.back();
-  }
-
-  net::VariableRateQueue& add_variable_queue(const std::string& name,
-                                             double rate_bps,
-                                             std::uint64_t buf_bytes) {
-    vqueues_.push_back(std::make_unique<net::VariableRateQueue>(
-        events_, name, rate_bps, buf_bytes));
-    faults_.add_variable_queue(name, *vqueues_.back());
-    return *vqueues_.back();
   }
 
   net::Pipe& add_pipe(const std::string& name, SimTime delay) {
@@ -156,17 +146,6 @@ class Network {
     return link;
   }
 
-  // Like add_link, but with a variable-rate queue so the link is a valid
-  // target for down/up/rate/ramp faults. Identical behaviour at a constant
-  // rate.
-  Link add_variable_link(const std::string& name, double rate_bps,
-                         SimTime delay, std::uint64_t buf_bytes) {
-    Link link;
-    link.queue = &add_variable_queue(name + "/q", rate_bps, buf_bytes);
-    link.pipe = &add_pipe(name + "/p", delay);
-    return link;
-  }
-
   // Fault-target name -> element map, populated as elements are built.
   fault::TargetRegistry& fault_targets() { return faults_; }
   const fault::TargetRegistry& fault_targets() const { return faults_; }
@@ -176,7 +155,6 @@ class Network {
   ShardGroup* group_ = nullptr;
   fault::TargetRegistry faults_;
   std::vector<std::unique_ptr<net::Queue>> queues_;
-  std::vector<std::unique_ptr<net::VariableRateQueue>> vqueues_;
   std::vector<std::unique_ptr<net::Pipe>> pipes_;
   std::vector<std::unique_ptr<net::LossyLink>> lossy_;
   std::vector<std::unique_ptr<net::BoundarySink>> boundaries_;

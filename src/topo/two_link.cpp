@@ -6,11 +6,8 @@ TwoLink::TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2) {
   const LinkSpec* specs[2] = {&link1, &link2};
   for (int i = 0; i < 2; ++i) {
     const std::string base = "link" + std::to_string(i + 1);
-    // Variable-rate queues (identical to fixed-rate ones at a constant
-    // rate) so both bottlenecks accept down/up/ramp faults.
-    links_[i] = net.add_variable_link(base, specs[i]->rate_bps,
-                                      specs[i]->one_way_delay,
-                                      specs[i]->buf_bytes);
+    links_[i] = net.add_link(base, specs[i]->rate_bps,
+                             specs[i]->one_way_delay, specs[i]->buf_bytes);
     ack_pipes_[i] = &net.add_pipe(base + "/ack", specs[i]->one_way_delay);
   }
 }

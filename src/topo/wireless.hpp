@@ -7,8 +7,8 @@
 //   3G:   2.1 Mb/s, longer base RTT (~100 ms), heavily overbuffered (the
 //         paper measured RTTs "well over a second"), negligible random
 //         loss (dedicated channel).
-// Both are VariableRateQueues so mobility traces (Fig. 17) can fade or
-// kill them. Lives in src/topo so the scenario engine and the tests'
+// Mobility traces (Fig. 17) fade or kill either radio through its queue's
+// set_rate. Lives in src/topo so the scenario engine and the tests'
 // direct-construction references build the exact same client (element
 // order, names and loss seed included — byte-identical simulations).
 #pragma once
@@ -27,16 +27,14 @@ struct WirelessClient {
   // loss p the TCP-sustainable window is sqrt(2/p); 0.05% keeps the
   // sawtooth above the 24-packet BDP so the 14.4 Mb/s link fills.
   explicit WirelessClient(Network& net, double wifi_loss = 0.0005)
-      : wifi_q(net.add_variable_queue("wifi/q", kWifiRate,
-                                      25 * net::kDataPacketBytes)),
+      : wifi_q(net.add_queue("wifi/q", kWifiRate, 25 * net::kDataPacketBytes)),
         wifi_loss_el(net.add_lossy("wifi/loss", wifi_loss, 3051)),
         wifi_pipe(net.add_pipe("wifi/pipe", from_ms(10))),
         wifi_ack(net.add_pipe("wifi/ack", from_ms(10))),
         // ~0.75 s of buffering at 2.1 Mb/s ~= 130 packets: overbuffered
         // (total RTT well above 2x the base 100 ms), as measured in §5.
-        g3_q(net.add_variable_queue("3g/q", k3gRate,
-                                    static_cast<std::uint64_t>(
-                                        k3gRate / 8.0 * 0.75))),
+        g3_q(net.add_queue("3g/q", k3gRate,
+                           static_cast<std::uint64_t>(k3gRate / 8.0 * 0.75))),
         g3_pipe(net.add_pipe("3g/pipe", from_ms(50))),
         g3_ack(net.add_pipe("3g/ack", from_ms(50))) {}
 
@@ -45,11 +43,11 @@ struct WirelessClient {
   Path g3_fwd() { return {&g3_q, &g3_pipe}; }
   Path g3_rev() { return {&g3_ack}; }
 
-  net::VariableRateQueue& wifi_q;
+  net::Queue& wifi_q;
   net::LossyLink& wifi_loss_el;
   net::Pipe& wifi_pipe;
   net::Pipe& wifi_ack;
-  net::VariableRateQueue& g3_q;
+  net::Queue& g3_q;
   net::Pipe& g3_pipe;
   net::Pipe& g3_ack;
 };

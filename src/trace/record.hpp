@@ -46,7 +46,7 @@ enum class RecordType : std::uint8_t {
   kQueue,      // queue occupancy after an enqueue or departure
   kQueueDrop,  // drop-tail loss
   kLinkDrop,   // random (non-congestive) loss on a LossyLink
-  kRate,       // VariableRateQueue rate change (outage = 0)
+  kRate,       // Queue::set_rate rate change (outage = 0)
   kDataAck,    // MPTCP data-level cumulative ACK advanced
   kRcvBuf,     // receiver shared-buffer occupancy sample
   kReinject,   // data seqs queued for reinjection on sibling subflows

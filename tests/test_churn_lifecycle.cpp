@@ -15,7 +15,7 @@
 #include "mptcp/connection.hpp"
 #include "mptcp/path_manager.hpp"
 #include "net/packet.hpp"
-#include "net/variable_rate_queue.hpp"
+#include "net/queue.hpp"
 #include "runner/experiment_runner.hpp"
 #include "topo/network.hpp"
 #include "traffic/poisson_flows.hpp"
@@ -124,10 +124,10 @@ TEST(FlowLifecycle, ThousandFlowChurnConservesPoolAndArena) {
   auto l1 = net.add_link("l1", 50e6, from_ms(5),
                          topo::bdp_bytes(50e6, from_ms(10)));
   auto& a1 = net.add_pipe("a1", from_ms(5));
-  auto l2 = net.add_variable_link("l2", 50e6, from_ms(5),
-                                  topo::bdp_bytes(50e6, from_ms(10)));
+  auto l2 = net.add_link("l2", 50e6, from_ms(5),
+                         topo::bdp_bytes(50e6, from_ms(10)));
   auto& a2 = net.add_pipe("a2", from_ms(5));
-  auto& vq = *static_cast<net::VariableRateQueue*>(l2.queue);
+  auto& vq = *l2.queue;
 
   PathManagerConfig pm_cfg;
   pm_cfg.strategy = PathStrategy::kThreshold;

@@ -156,7 +156,7 @@ TEST(Connection, ReinjectionRescuesDataFromDeadSubflow) {
   // after the RTO so the in-order stream keeps moving.
   EventList events;
   topo::Network net(events);
-  auto& vq = net.add_variable_queue("v", 10e6, 50 * net::kDataPacketBytes);
+  auto& vq = net.add_queue("v", 10e6, 50 * net::kDataPacketBytes);
   auto& vpipe = net.add_pipe("vp", from_ms(10));
   auto& vack = net.add_pipe("va", from_ms(10));
   SingleLink good(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "good");

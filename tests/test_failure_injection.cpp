@@ -19,7 +19,7 @@
 #include "fault/fault.hpp"
 #include "mptcp/connection.hpp"
 #include "net/lossy_link.hpp"
-#include "net/variable_rate_queue.hpp"
+#include "net/queue.hpp"
 #include "sim_fixtures.hpp"
 #include "topo/network.hpp"
 
@@ -30,31 +30,18 @@ using mptcp::ConnectionConfig;
 using mptcp::MptcpConnection;
 using test::SingleLink;
 
-struct VarLink {
-  VarLink(topo::Network& net, const std::string& name, double rate,
-          SimTime one_way, std::uint64_t buf)
-      : q(net.add_variable_queue(name + "/q", rate, buf)),
-        pipe(net.add_pipe(name + "/p", one_way)),
-        ack(net.add_pipe(name + "/a", one_way)) {}
-  topo::Path fwd() { return {&q, &pipe}; }
-  topo::Path rev() { return {&ack}; }
-  net::VariableRateQueue& q;
-  net::Pipe& pipe;
-  net::Pipe& ack;
-};
-
 TEST(FailureInjection, OutageDuringSlowStart) {
   // The link dies while the very first window is in flight: the flow must
   // neither crash nor stall forever.
   EventList events;
   topo::Network net(events);
-  VarLink link(net, "v", 10e6, from_ms(10), 100 * net::kDataPacketBytes);
+  SingleLink link(net, 10e6, from_ms(10), 100 * net::kDataPacketBytes, "v");
   auto tcp = mptcp::make_single_path_tcp(events, "t", link.fwd(), link.rev());
   tcp->start(0);
   events.run_until(from_ms(25));  // mid slow start
-  link.q.set_rate(0.0);
+  link.queue().set_rate(0.0);
   events.run_until(from_sec(5));
-  link.q.set_rate(10e6);
+  link.queue().set_rate(10e6);
   events.run_until(from_sec(15));
   EXPECT_GT(tcp->subflow(0).timeouts(), 0u);
   EXPECT_GT(tcp->delivered_pkts(), 5000u) << "must recover to full speed";
@@ -83,19 +70,19 @@ TEST(FailureInjection, LossyAckPathStillDeliversEverything) {
 TEST(FailureInjection, BothPathsDieAndRevive) {
   EventList events;
   topo::Network net(events);
-  VarLink l1(net, "l1", 10e6, from_ms(10), 50 * net::kDataPacketBytes);
-  VarLink l2(net, "l2", 10e6, from_ms(10), 50 * net::kDataPacketBytes);
+  SingleLink l1(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "l1");
+  SingleLink l2(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "l2");
   MptcpConnection mp(events, "mp", cc::mptcp_lia());
   mp.add_subflow(l1.fwd(), l1.rev());
   mp.add_subflow(l2.fwd(), l2.rev());
   mp.start(0);
   events.run_until(from_sec(3));
-  l1.q.set_rate(0.0);
-  l2.q.set_rate(0.0);
+  l1.queue().set_rate(0.0);
+  l2.queue().set_rate(0.0);
   events.run_until(from_sec(10));
   const auto during = mp.delivered_pkts();
-  l1.q.set_rate(10e6);
-  l2.q.set_rate(10e6);
+  l1.queue().set_rate(10e6);
+  l2.queue().set_rate(10e6);
   events.run_until(from_sec(25));
   EXPECT_GT(mp.delivered_pkts(), during + 15000u)
       << "full two-link speed after total blackout";
@@ -107,15 +94,15 @@ TEST(FailureInjection, FlappingLink) {
   // path at full speed throughout and opportunistically use the flapper.
   EventList events;
   topo::Network net(events);
-  VarLink stable(net, "stable", 10e6, from_ms(10),
-                 50 * net::kDataPacketBytes);
-  VarLink flappy(net, "flappy", 10e6, from_ms(10),
-                 50 * net::kDataPacketBytes);
+  SingleLink stable(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes,
+                    "stable");
+  SingleLink flappy(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes,
+                    "flappy");
   std::vector<net::RateSchedule::Change> changes;
   for (int i = 1; i <= 20; ++i) {
     changes.push_back({from_sec(2 * i), (i % 2 == 1) ? 0.0 : 10e6});
   }
-  net::RateSchedule sched(events, flappy.q, std::move(changes));
+  net::RateSchedule sched(events, flappy.queue(), std::move(changes));
   MptcpConnection mp(events, "mp", cc::mptcp_lia());
   mp.add_subflow(stable.fwd(), stable.rev());
   mp.add_subflow(flappy.fwd(), flappy.rev());
@@ -135,8 +122,8 @@ TEST(FailureInjection, DeadFromBirthSubflowDoesNotPoisonConnection) {
   topo::Network net(events);
   SingleLink good(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes,
                   "good");
-  VarLink dead(net, "dead", 10e6, from_ms(10), 50 * net::kDataPacketBytes);
-  dead.q.set_rate(0.0);
+  SingleLink dead(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "dead");
+  dead.queue().set_rate(0.0);
   MptcpConnection mp(events, "mp", cc::mptcp_lia());
   mp.add_subflow(good.fwd(), good.rev());
   mp.add_subflow(dead.fwd(), dead.rev());
@@ -152,7 +139,7 @@ TEST(FailureInjection, PacketPoolBalancedAfterChaos) {
   const std::size_t base = net::Packet::pool_outstanding(events);
   {
     topo::Network net(events);
-    VarLink l1(net, "l1", 10e6, from_ms(10), 20 * net::kDataPacketBytes);
+    SingleLink l1(net, 10e6, from_ms(10), 20 * net::kDataPacketBytes, "l1");
     auto& lossy = net.add_lossy("loss", 0.05, 5);
     auto& pipe = net.add_pipe("p2", from_ms(30));
     auto& ack2 = net.add_pipe("a2", from_ms(30));
@@ -163,9 +150,9 @@ TEST(FailureInjection, PacketPoolBalancedAfterChaos) {
     mp.add_subflow({&lossy, &pipe}, {&ack2});
     mp.start(0);
     events.run_until(from_sec(2));
-    l1.q.set_rate(0.0);
+    l1.queue().set_rate(0.0);
     events.run_until(from_sec(4));
-    l1.q.set_rate(10e6);
+    l1.queue().set_rate(10e6);
     events.run_until(from_sec(60));
     EXPECT_TRUE(mp.complete());
     events.run_all();  // drain every in-flight packet and timer
@@ -246,15 +233,15 @@ TEST_P(FaultMatrix, SurvivesDisruptionWithoutStallOrInvariantBreach) {
 
   EventList events;
   topo::Network net(events);
-  VarLink l1(net, "l1", 10e6, from_ms(10), 50 * net::kDataPacketBytes);
+  SingleLink l1(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "l1");
   // Path 2 carries a (normally silent) lossy element so the loss-burst
   // fault has something to act on.
   auto& l2_loss = net.add_lossy("l2/loss", 0.0, 77);
-  VarLink l2(net, "l2", 10e6, from_ms(10), 50 * net::kDataPacketBytes);
+  SingleLink l2(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "l2");
 
   MptcpConnection mp(events, "mp", *a.algo);
   mp.add_subflow(l1.fwd(), l1.rev());
-  mp.add_subflow({&l2_loss, &l2.q, &l2.pipe}, l2.rev());
+  mp.add_subflow({&l2_loss, l2.link.queue, l2.link.pipe}, l2.rev());
   net.fault_targets().add_connection("mp", mp);
   mp.start(0);
 
@@ -323,10 +310,11 @@ TEST(FailureInjection, Section6DeadlockRegression) {
   ScopedThrowingChecks throwing;
   EventList events;
   topo::Network net(events);
-  VarLink fast(net, "fast", 10e6, from_ms(10), 50 * net::kDataPacketBytes);
+  SingleLink fast(net, 10e6, from_ms(10), 50 * net::kDataPacketBytes, "fast");
   // The doomed path is slow and long-delay so it strands a chunk of the
   // sequence space when it dies.
-  VarLink doomed(net, "doomed", 2e6, from_ms(80), 50 * net::kDataPacketBytes);
+  SingleLink doomed(net, 2e6, from_ms(80), 50 * net::kDataPacketBytes,
+                    "doomed");
   ConnectionConfig cfg;
   cfg.recv_buffer_pkts = 16;  // §6-small: flow control binds hard
   cfg.app_limit_pkts = 4000;

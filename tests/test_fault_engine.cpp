@@ -17,7 +17,7 @@
 #include "net/cbr.hpp"
 #include "net/lossy_link.hpp"
 #include "net/packet.hpp"
-#include "net/variable_rate_queue.hpp"
+#include "net/queue.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
 #include "sim_fixtures.hpp"
@@ -105,10 +105,10 @@ TEST(FaultEngine, CorruptDropsExactlyCountPackets) {
 TEST(FaultEngine, RampStepsThroughIntermediateRates) {
   EventList events;
   net::CountingSink sink("sink");
-  net::VariableRateQueue q(events, "q", 12e6, 1000 * net::kDataPacketBytes);
+  net::Queue q(events, "q", 12e6, 1000 * net::kDataPacketBytes);
 
   fault::TargetRegistry reg;
-  reg.add_variable_queue("q", q);
+  reg.add_queue("q", q);
   fault::FaultPlan plan;
   fault::FaultEvent ev;
   ev.at = from_sec(1);
@@ -157,10 +157,9 @@ TEST(FaultEngine, LossBurstRestoresBaselineProbability) {
 TEST(FaultEngine, RandomOutageTimelineIsAFunctionOfSeedAndSalt) {
   auto applied_with = [](std::uint64_t run_seed) {
     EventList events;
-    net::VariableRateQueue q(events, "q", 10e6,
-                             100 * net::kDataPacketBytes);
+    net::Queue q(events, "q", 10e6, 100 * net::kDataPacketBytes);
     fault::TargetRegistry reg;
-    reg.add_variable_queue("q", q);
+    reg.add_queue("q", q);
     fault::FaultPlan plan;
     fault::RandomOutage ro;
     ro.target = "q";
@@ -186,8 +185,7 @@ TEST(FaultEngine, RecoveryMonitorReportsOutageAndRecovery) {
   ScopedThrowingChecks throwing;
   EventList events;
   topo::Network net(events);
-  auto& q = net.add_variable_queue("link/q", 10e6,
-                                   50 * net::kDataPacketBytes);
+  auto& q = net.add_queue("link/q", 10e6, 50 * net::kDataPacketBytes);
   auto& pipe = net.add_pipe("link/p", from_ms(10));
   auto& ack = net.add_pipe("link/a", from_ms(10));
   auto tcp = mptcp::make_single_path_tcp(events, "t", {&q, &pipe}, {&ack});
@@ -400,6 +398,47 @@ TEST(FaultEngine, ScenarioFaultRunsAreThreadCountInvariant) {
   }
 }
 
+// Every link's queue takes rate faults, not just the two_link and wireless
+// ones: a down/up/ramp script on a torus link validates and runs.
+TEST(FaultEngine, RateFaultsApplyToAnyTopologyQueue) {
+  constexpr const char* kTorusFaultSpec = R"(
+[scenario]
+name = "torus_faults"
+
+[topology]
+kind = "torus"
+rate_pps = 1000
+
+[algorithm]
+kind = "mptcp"
+
+[traffic]
+kind = "persistent"
+stagger = "31ms"
+
+[faults]
+script = ["1s down torusC/q", "2s up torusC/q", "3s ramp 6Mbps 1s 4 torusC/q"]
+
+[run]
+warmup = "0.5s"
+measure = "5s"
+)";
+  scenario::Scenario s =
+      scenario::Scenario::from_string(kTorusFaultSpec, "torus.toml");
+  s.validate();
+  const auto runs = s.run(scenario::EngineOptions{});
+  ASSERT_EQ(runs.size(), 1u);
+  double applied = -1.0;
+  double outages = -1.0;
+  for (const auto& kv : runs[0].values) {
+    if (kv.first == "fault_events_applied") applied = kv.second;
+    if (kv.first == "fault_outages") outages = kv.second;
+  }
+  // down + up + the ramp itself + its four steps.
+  EXPECT_EQ(applied, 7.0);
+  EXPECT_EQ(outages, 1.0);
+}
+
 // ---------------------------------------------------------------------------
 // Spec diagnostics: every malformed [faults] entry fails with a file:line
 // SpecError naming the problem.
@@ -579,7 +618,7 @@ TEST(FaultSpecErrors, KindMismatch) {
       fault_error(kWirelessBase, "script = \"1s down wifi/loss\"");
   EXPECT_NE(std::string(e.what()).find(
                 "fault target 'wifi/loss' is a loss element; 'down' needs "
-                "a variable-rate queue"),
+                "a queue"),
             std::string::npos)
       << e.what();
 }

@@ -15,7 +15,7 @@
 #include "mptcp/connection.hpp"
 #include "mptcp/path_manager.hpp"
 #include "mptcp/scheduler.hpp"
-#include "net/variable_rate_queue.hpp"
+#include "net/queue.hpp"
 #include "sim_fixtures.hpp"
 #include "topo/network.hpp"
 #include "topo/two_link.hpp"
@@ -149,10 +149,10 @@ TEST(PathManager, RtoDeadSubflowIsDroppedAndReprobed) {
   auto l1 = net.add_link("l1", 10e6, from_ms(10),
                          topo::bdp_bytes(10e6, from_ms(20)));
   auto& a1 = net.add_pipe("a1", from_ms(10));
-  auto l2 = net.add_variable_link("l2", 10e6, from_ms(10),
-                                  topo::bdp_bytes(10e6, from_ms(20)));
+  auto l2 = net.add_link("l2", 10e6, from_ms(10),
+                         topo::bdp_bytes(10e6, from_ms(20)));
   auto& a2 = net.add_pipe("a2", from_ms(10));
-  auto& vq = *static_cast<net::VariableRateQueue*>(l2.queue);
+  auto& vq = *l2.queue;
 
   MptcpConnection mp(events, "mp", cc::mptcp_lia());
   PathManagerConfig cfg;
@@ -199,10 +199,10 @@ TEST(PathManager, RtoDeadSubflowIsDroppedAndReprobed) {
 TEST(PathManager, NeverDropsTheLastActiveSubflow) {
   EventList events;
   topo::Network net(events);
-  auto l1 = net.add_variable_link("l1", 10e6, from_ms(10),
-                                  topo::bdp_bytes(10e6, from_ms(20)));
+  auto l1 = net.add_link("l1", 10e6, from_ms(10),
+                         topo::bdp_bytes(10e6, from_ms(20)));
   auto& a1 = net.add_pipe("a1", from_ms(10));
-  auto& vq = *static_cast<net::VariableRateQueue*>(l1.queue);
+  auto& vq = *l1.queue;
 
   MptcpConnection mp(events, "mp", cc::mptcp_lia());
   PathManagerConfig cfg;

@@ -116,7 +116,7 @@ TEST(Subflow, RttEstimateMatchesPathRtt) {
 TEST(Subflow, OutageCausesRtoAndRecovery) {
   EventList events;
   topo::Network net(events);
-  auto& vq = net.add_variable_queue("v", 10e6, 100 * net::kDataPacketBytes);
+  auto& vq = net.add_queue("v", 10e6, 100 * net::kDataPacketBytes);
   auto& pipe = net.add_pipe("p", from_ms(5));
   auto& ack = net.add_pipe("a", from_ms(5));
   auto tcp = mptcp::make_single_path_tcp(events, "t", {&vq, &pipe}, {&ack});
@@ -137,7 +137,7 @@ TEST(Subflow, OutageCausesRtoAndRecovery) {
 TEST(Subflow, BackoffDoublesRtoDuringPersistentOutage) {
   EventList events;
   topo::Network net(events);
-  auto& vq = net.add_variable_queue("v", 10e6, 100 * net::kDataPacketBytes);
+  auto& vq = net.add_queue("v", 10e6, 100 * net::kDataPacketBytes);
   auto& pipe = net.add_pipe("p", from_ms(5));
   auto& ack = net.add_pipe("a", from_ms(5));
   auto tcp = mptcp::make_single_path_tcp(events, "t", {&vq, &pipe}, {&ack});
@@ -161,7 +161,7 @@ TEST(Subflow, RtoBackoffSaturatesInsteadOfOverflowing) {
   ScopedThrowingChecks guard;  // a past-deadline schedule becomes a throw
   EventList events;
   topo::Network net(events);
-  auto& vq = net.add_variable_queue("v", 10e6, 100 * net::kDataPacketBytes);
+  auto& vq = net.add_queue("v", 10e6, 100 * net::kDataPacketBytes);
   auto& pipe = net.add_pipe("p", from_ms(5));
   auto& ack = net.add_pipe("a", from_ms(5));
   // Base RTO pinned at 2e18 ns: 2e18 << 3 wraps negative in int64. The
