@@ -13,6 +13,8 @@
 // a helper (topo::WirelessClient, topo::sample_path_pairs), identity is
 // structural.
 #include <array>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -82,9 +84,46 @@ class TwoLinkTopo final : public BuiltTopology {
   topo::TwoLink links_;
 };
 
+// Front-door checks on topology keys, so a bad value is a file:line
+// SpecError rather than an abort or a silent wrap inside the build.
+
+// A rate of 0 is an outage: legal as a fault value, never as a link's
+// starting rate (net::Queue requires one above 0).
+double positive_rate(const Section& s, const std::string& key, double v) {
+  if (!(v > 0.0)) s.reject(key, "link rate must be above 0");
+  return v;
+}
+
+// An integer key, range-checked before it narrows to int.
+int int_key(const Section& s, const std::string& key, int fallback) {
+  const std::int64_t v = s.get_int(key, fallback);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    s.reject(key, "value " + std::to_string(v) + " is out of range");
+  }
+  return static_cast<int>(v);
+}
+
+// Every queue and pipe takes a uint32 order id (EventList::alloc_order_id),
+// so a topology needing more elements than that cannot be built. Counts
+// multiply saturating at kMaxElements + 1 so they cannot wrap either.
+constexpr std::uint64_t kMaxElements = 0xFFFFFFFFu;
+
+std::uint64_t count_mul(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > kMaxElements / b ? kMaxElements + 1 : a * b;
+}
+
+void check_element_count(const Section& s, std::uint64_t elements) {
+  if (elements > kMaxElements) {
+    s.fail("topology needs more than " + std::to_string(kMaxElements) +
+           " queues and pipes (the order-id space)");
+  }
+}
+
 topo::LinkSpec link_spec(const Section& s, const std::string& prefix) {
   topo::LinkSpec spec;
-  spec.rate_bps = s.get_rate_bps(prefix + "_rate", spec.rate_bps);
+  spec.rate_bps = positive_rate(
+      s, prefix + "_rate", s.get_rate_bps(prefix + "_rate", spec.rate_bps));
   spec.one_way_delay = s.get_time(prefix + "_delay", spec.one_way_delay);
   spec.buf_bytes = s.get_bytes(prefix + "_buf", spec.buf_bytes);
   return spec;
@@ -959,8 +998,9 @@ Registry make_builtin_registry() {
         std::array<std::uint64_t, 3> bufs{};
         const double bdp_mult = s.get_number("buffer_bdp", 1.0);
         for (int i = 0; i < 3; ++i) {
-          bps[static_cast<std::size_t>(i)] = topo::pkts_per_sec_to_bps(
-              rates[static_cast<std::size_t>(i)]);
+          const double pps =
+              positive_rate(s, "rates_pps", rates[static_cast<std::size_t>(i)]);
+          bps[static_cast<std::size_t>(i)] = topo::pkts_per_sec_to_bps(pps);
           bufs[static_cast<std::size_t>(i)] = topo::bdp_bytes(
               bps[static_cast<std::size_t>(i)], 2 * delay, bdp_mult);
         }
@@ -971,7 +1011,8 @@ Registry make_builtin_registry() {
       "parking_lot",
       "Fig. 2: three-link cycle, one-hop vs two-hop paths",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        const double rate = s.get_rate_bps("link_rate", 48e6);
+        const double rate =
+            positive_rate(s, "link_rate", s.get_rate_bps("link_rate", 48e6));
         const SimTime rtt = s.get_time("rtt", from_ms(40));
         const std::uint64_t buf =
             s.get_bytes("buffer", topo::bdp_bytes(rate, rtt));
@@ -987,10 +1028,14 @@ Registry make_builtin_registry() {
           if (rs.size() != topo::Torus::kLinks) {
             s.fail("'rates_pps' must list 5 link rates");
           }
-          for (std::size_t i = 0; i < rs.size(); ++i) rates[i] = rs[i];
+          for (std::size_t i = 0; i < rs.size(); ++i) {
+            rates[i] = positive_rate(s, "rates_pps", rs[i]);
+          }
         } else {
-          const double base = s.get_number("rate_pps", 1000.0);
-          const double cap_c = s.get_number("cap_c", base);
+          const double base =
+              positive_rate(s, "rate_pps", s.get_number("rate_pps", 1000.0));
+          const double cap_c =
+              positive_rate(s, "cap_c", s.get_number("cap_c", base));
           rates = {base, base, cap_c, base, base};
         }
         return std::make_unique<TorusTopo>(net, rates);
@@ -999,9 +1044,14 @@ Registry make_builtin_registry() {
   r.add_topology(
       "fat_tree", "§4: k-ary FatTree (k=8 -> 128 hosts, 100 Mb/s links)",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        const int k = static_cast<int>(s.get_int("k", 8));
+        const int k = int_key(s, "k", 8);
         if (k < 2 || k % 2 != 0) s.fail("'k' must be even and >= 2");
-        const double rate = s.get_rate_bps("link_rate", 100e6);
+        // 3k^3/2 directed links (host, edge-agg and agg-core tiers, both
+        // ways), each a queue and a pipe.
+        const auto uk = static_cast<std::uint64_t>(k);
+        check_element_count(s, count_mul(3, count_mul(uk, count_mul(uk, uk))));
+        const double rate =
+            positive_rate(s, "link_rate", s.get_rate_bps("link_rate", 100e6));
         const SimTime delay = s.get_time("per_hop_delay", from_us(20));
         const std::uint64_t buf =
             s.get_bytes("buffer", 100 * net::kDataPacketBytes);
@@ -1011,10 +1061,19 @@ Registry make_builtin_registry() {
   r.add_topology(
       "bcube", "§4: BCube(n,k) server-centric fabric (5,2 -> 125 hosts)",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        const int n = static_cast<int>(s.get_int("n", 5));
-        const int k = static_cast<int>(s.get_int("k", 2));
+        const int n = int_key(s, "n", 5);
+        const int k = int_key(s, "k", 2);
         if (n < 2 || k < 0) s.fail("need n >= 2 and k >= 0");
-        const double rate = s.get_rate_bps("link_rate", 100e6);
+        // n^(k+1) hosts with k+1 up and k+1 down links each, each link a
+        // queue and a pipe.
+        std::uint64_t elements = 4;
+        for (int l = 0; l <= k && elements <= kMaxElements; ++l) {
+          elements = count_mul(elements, static_cast<std::uint64_t>(n));
+        }
+        check_element_count(
+            s, count_mul(elements, static_cast<std::uint64_t>(k) + 1));
+        const double rate =
+            positive_rate(s, "link_rate", s.get_rate_bps("link_rate", 100e6));
         const SimTime delay = s.get_time("per_hop_delay", from_us(20));
         const std::uint64_t buf =
             s.get_bytes("buffer", 100 * net::kDataPacketBytes);

@@ -318,6 +318,11 @@ std::int64_t Section::get_int(const std::string& key) const {
   if (v.kind != Value::Kind::kNumber || v.num != std::floor(v.num)) {
     type_error(key, v, "an integer");
   }
+  // Casting a double outside the int64 range is undefined behaviour.
+  if (!(v.num >= -0x1p63 && v.num < 0x1p63)) {
+    throw SpecError(file_, v.line,
+                    "[" + name_ + "] " + key + ": integer out of range");
+  }
   return static_cast<std::int64_t>(v.num);
 }
 

@@ -186,6 +186,42 @@ TEST(SpecErrors, DiagnosticsCarryFileAndLine) {
   }
 }
 
+// Topology keys are checked at the front door: a zero link rate, an
+// integer that would wrap when narrowed, or an element count beyond the
+// uint32 order-id space is a file:line SpecError, not an abort, a silent
+// wrap or an allocation failure inside the build.
+TEST(SpecErrors, TopologyFrontDoorCarriesFileAndLine) {
+  struct Case {
+    const char* topology;  // [topology] body; line 1 is the header
+    int line;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"kind = \"two_link\"\nlink1_rate = \"0Mbps\"", 3,
+       "link1_rate: link rate must be above 0"},
+      {"kind = \"parking_lot\"\nlink_rate = \"0Mbps\"", 3,
+       "link_rate: link rate must be above 0"},
+      {"kind = \"torus\"\nrate_pps = 0", 3,
+       "rate_pps: link rate must be above 0"},
+      {"kind = \"fat_tree\"\nk = 4294967304", 3,
+       "k: value 4294967304 is out of range"},
+      {"kind = \"bcube\"\nn = 100000", 1, "the order-id space"},
+      {"kind = \"bcube\"\nk = 40", 1, "the order-id space"},
+  };
+  for (const Case& c : cases) {
+    const std::string text =
+        std::string("[topology]\n") + c.topology +
+        "\n[algorithm]\nkind = \"mptcp\"\n"
+        "[traffic]\nkind = \"persistent\"\ncount = 1\n"
+        "[run]\nwarmup = \"1s\"\nmeasure = \"1s\"\n";
+    const SpecError e = error_of([&] { load(text).validate(); });
+    EXPECT_EQ(e.file(), "test.toml") << c.topology;
+    EXPECT_EQ(e.line(), c.line) << c.topology;
+    EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+        << c.topology << ": " << e.what();
+  }
+}
+
 TEST(SpecValidation, UnknownKeyRejected) {
   Scenario s = load(std::string(kBase) + "typo_key = 1\n");
   const SpecError e = error_of([&] { s.validate(); });
