@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,11 +60,35 @@ std::vector<topo::PathPair> take(std::vector<topo::PathPair> pairs, int n) {
   return pairs;
 }
 
+// §3's bursty cross traffic (Fig. 9): an on/off CBR sending at link 1's
+// rate for exponential on/off periods, through link 1 into a sink.
+struct OnOffCrossTraffic {
+  static constexpr std::uint64_t kSeed = 20260706;
+
+  OnOffCrossTraffic(EventList& events, const topo::Path& link, double rate,
+                    SimTime mean_on, SimTime mean_off)
+      : route(link),
+        source(events, "cbr", route, rate, mean_on, mean_off, kSeed) {
+    route.push_back(&sink);
+    source.start(0);
+  }
+
+  net::CountingSink sink{"cbr/sink"};
+  net::Route route;
+  net::OnOffCbrSource source;
+};
+
 class TwoLinkTopo final : public BuiltTopology {
  public:
+  // mean_on > 0 adds the cross traffic, built before any flow.
   TwoLinkTopo(topo::Network& net, const topo::LinkSpec& l1,
-              const topo::LinkSpec& l2)
-      : links_(net, l1, l2) {}
+              const topo::LinkSpec& l2, SimTime mean_on, SimTime mean_off)
+      : links_(net, l1, l2) {
+    if (mean_on > 0) {
+      cbr_ = std::make_unique<OnOffCrossTraffic>(
+          net.events(), links_.fwd(0), l1.rate_bps, mean_on, mean_off);
+    }
+  }
 
   int flow_slots() const override { return 1; }
 
@@ -82,6 +107,7 @@ class TwoLinkTopo final : public BuiltTopology {
 
  private:
   topo::TwoLink links_;
+  std::unique_ptr<OnOffCrossTraffic> cbr_;
 };
 
 // Front-door checks on topology keys, so a bad value is a file:line
@@ -94,14 +120,30 @@ double positive_rate(const Section& s, const std::string& key, double v) {
   return v;
 }
 
-// An integer key, range-checked before it narrows to int.
-int int_key(const Section& s, const std::string& key, int fallback) {
-  const std::int64_t v = s.get_int(key, fallback);
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
+// An integer key, range-checked against [lo, hi] before it narrows to T,
+// so it can neither wrap nor reach an allocation. Without a fallback the
+// key is required.
+template <typename T = int>
+T int_key(const Section& s, const std::string& key,
+          std::optional<std::int64_t> fallback,
+          std::int64_t lo = std::numeric_limits<T>::min(),
+          std::uint64_t hi = std::numeric_limits<T>::max()) {
+  const std::int64_t v = fallback && !s.has(key) ? *fallback : s.get_int(key);
+  if (v < lo || (v > 0 && static_cast<std::uint64_t>(v) > hi)) {
     s.reject(key, "value " + std::to_string(v) + " is out of range");
   }
-  return static_cast<int>(v);
+  return static_cast<T>(v);
+}
+
+// Every receiver reserves its buffer up front (mptcp::MptcpReceiver); 2^24
+// packets is far beyond any simulated bandwidth-delay product.
+constexpr std::uint64_t kMaxRecvBufferPkts = 1u << 24;
+
+// A strictly positive time (a CBR period mean).
+SimTime positive_time(const Section& s, const std::string& key) {
+  const SimTime t = s.get_time(key);
+  if (t <= 0) s.reject(key, "must be above 0");
+  return t;
 }
 
 // Every queue and pipe takes a uint32 order id (EventList::alloc_order_id),
@@ -125,7 +167,30 @@ topo::LinkSpec link_spec(const Section& s, const std::string& prefix) {
   spec.rate_bps = positive_rate(
       s, prefix + "_rate", s.get_rate_bps(prefix + "_rate", spec.rate_bps));
   spec.one_way_delay = s.get_time(prefix + "_delay", spec.one_way_delay);
-  spec.buf_bytes = s.get_bytes(prefix + "_buf", spec.buf_bytes);
+  const std::string bdp_key = prefix + "_buf_bdp";
+  if (s.has(bdp_key)) {
+    // A buffer of this many bandwidth-delay products (topo::bdp_bytes).
+    if (s.has(prefix + "_buf")) {
+      s.reject(prefix + "_buf", "mutually exclusive with '" + bdp_key + "'");
+    }
+    const double mult = s.get_number(bdp_key);
+    const double bytes =
+        spec.rate_bps / 8.0 * 2.0 * to_sec(spec.one_way_delay) * mult;
+    if (!(mult > 0.0 && bytes < 0x1p63)) {
+      s.reject(bdp_key, "must be above 0 and size a buffer below 2^63 B");
+    }
+    spec.buf_bytes =
+        topo::bdp_bytes(spec.rate_bps, 2 * spec.one_way_delay, mult);
+  } else {
+    spec.buf_bytes = s.get_bytes(prefix + "_buf", spec.buf_bytes);
+  }
+  if (s.has(prefix + "_loss")) {
+    const double p = s.get_number(prefix + "_loss");
+    if (!(p >= 0.0 && p <= 1.0)) {
+      s.reject(prefix + "_loss", "loss probability must be in [0, 1]");
+    }
+    spec.loss = p;
+  }
   return spec;
 }
 
@@ -378,19 +443,15 @@ mptcp::PathManagerConfig parse_path_manager(const Section& s) {
     s.fail("unknown path manager strategy '" + strategy +
            "' (known: fullmesh, ndiffports, threshold)");
   }
-  cfg.ndiffports = static_cast<std::size_t>(s.get_int(
-      "ndiffports", static_cast<std::int64_t>(cfg.ndiffports)));
-  if (cfg.ndiffports < 1) s.fail("'ndiffports' must be >= 1");
+  cfg.ndiffports = int_key<std::size_t>(s, "ndiffports", cfg.ndiffports, 1);
   cfg.add_threshold_bytes =
       s.get_bytes("add_threshold", cfg.add_threshold_bytes);
-  cfg.max_subflows = static_cast<std::size_t>(s.get_int(
-      "max_subflows", static_cast<std::int64_t>(cfg.max_subflows)));
-  if (cfg.max_subflows < 1) s.fail("'max_subflows' must be >= 1");
+  cfg.max_subflows =
+      int_key<std::size_t>(s, "max_subflows", cfg.max_subflows, 1);
   cfg.scan_period = s.get_time("scan_period", cfg.scan_period);
   cfg.reprobe_backoff = s.get_time("reprobe_backoff", cfg.reprobe_backoff);
-  cfg.dead_after_rtos = static_cast<std::uint32_t>(s.get_int(
-      "dead_after_rtos", static_cast<std::int64_t>(cfg.dead_after_rtos)));
-  if (cfg.dead_after_rtos < 1) s.fail("'dead_after_rtos' must be >= 1");
+  cfg.dead_after_rtos =
+      int_key<std::uint32_t>(s, "dead_after_rtos", cfg.dead_after_rtos, 1);
   return cfg;
 }
 
@@ -448,9 +509,8 @@ class PersistentTraffic final : public TrafficModel {
       }
       if (flows_.empty()) s.fail("'flows' must not be empty");
     } else {
-      count_ = static_cast<int>(s.get_int("count", -1));
-      subflows_ = static_cast<int>(s.get_int("subflows", 2));
-      if (subflows_ < 1) s.fail("'subflows' must be >= 1");
+      if (s.has("count")) count_ = int_key(s, "count", std::nullopt, 1);
+      subflows_ = int_key(s, "subflows", 2, 1);
     }
     const bool has_starts = s.has("starts");
     if (has_starts) {
@@ -465,11 +525,10 @@ class PersistentTraffic final : public TrafficModel {
     }
     if (s.has("names")) names_ = s.get_string_array("names");
     if (s.has("algos")) algos_ = s.get_string_array("algos");
-    recv_buffer_pkts_ = static_cast<std::uint64_t>(s.get_int(
-        "recv_buffer_pkts",
-        static_cast<std::int64_t>(mptcp::ConnectionConfig{}.recv_buffer_pkts)));
-    app_limit_pkts_ =
-        static_cast<std::uint64_t>(s.get_int("app_limit_pkts", 0));
+    recv_buffer_pkts_ = int_key<std::uint64_t>(
+        s, "recv_buffer_pkts", mptcp::ConnectionConfig{}.recv_buffer_pkts, 1,
+        kMaxRecvBufferPkts);
+    app_limit_pkts_ = int_key<std::uint64_t>(s, "app_limit_pkts", 0, 0);
     min_rto_ = s.get_time("min_rto", tcp::SubflowConfig{}.min_rto);
     section_copy_ = &s;  // diagnostics only; outlives the model (Scenario)
   }
@@ -601,18 +660,18 @@ class MatrixTraffic final : public TrafficModel {
 
   MatrixTraffic(Kind kind, const Section& s) : kind_(kind) {
     if (kind_ != Kind::kNeighbors) {
-      tm_seed_ = static_cast<std::uint64_t>(s.get_int("tm_seed"));
+      tm_seed_ = int_key<std::uint64_t>(s, "tm_seed", std::nullopt, 0);
     }
     if (kind_ == Kind::kOneToMany) {
-      flows_per_host_ = static_cast<int>(s.get_int("flows_per_host", 12));
+      flows_per_host_ = int_key(s, "flows_per_host", 12, 1);
     }
     if (kind_ == Kind::kSparse) {
       fraction_ = s.get_number("fraction", 0.3);
     }
-    subflows_ = static_cast<int>(s.get_int("subflows", 8));
+    subflows_ = int_key(s, "subflows", 8, 1);
     min_rto_ = s.get_time("min_rto", from_ms(10));
-    recv_buffer_pkts_ =
-        static_cast<std::uint64_t>(s.get_int("recv_buffer_pkts", 4096));
+    recv_buffer_pkts_ = int_key<std::uint64_t>(
+        s, "recv_buffer_pkts", 4096, 1, kMaxRecvBufferPkts);
     section_ = &s;
   }
 
@@ -821,16 +880,13 @@ class ChurnTraffic final : public TrafficModel {
     phase_ = s.get_time("phase", from_sec(10));
     pcfg_.pareto_shape = s.get_number("pareto_shape", 2.0);
     pcfg_.mean_flow_bytes = s.get_number("mean_flow_bytes", 200e3);
-    tcp_link1_ = static_cast<int>(s.get_int("tcp_link1", 1));
-    tcp_link2_ = static_cast<int>(s.get_int("tcp_link2", 1));
-    mp_count_ = static_cast<int>(s.get_int("mp_count", 2));
-    if (tcp_link1_ < 0 || tcp_link2_ < 0 || mp_count_ < 0) {
-      s.fail("background flow counts must be >= 0");
-    }
+    tcp_link1_ = int_key(s, "tcp_link1", 1, 0);
+    tcp_link2_ = int_key(s, "tcp_link2", 1, 0);
+    mp_count_ = int_key(s, "mp_count", 2, 0);
     min_rto_ = s.get_time("min_rto", tcp::SubflowConfig{}.min_rto);
-    recv_buffer_pkts_ = static_cast<std::uint64_t>(s.get_int(
-        "recv_buffer_pkts",
-        static_cast<std::int64_t>(mptcp::ConnectionConfig{}.recv_buffer_pkts)));
+    recv_buffer_pkts_ = int_key<std::uint64_t>(
+        s, "recv_buffer_pkts", mptcp::ConnectionConfig{}.recv_buffer_pkts, 1,
+        kMaxRecvBufferPkts);
     section_ = &s;
   }
 
@@ -984,8 +1040,15 @@ Registry make_builtin_registry() {
   r.add_topology(
       "two_link", "client/server over two disjoint bottleneck links",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        return std::make_unique<TwoLinkTopo>(net, link_spec(s, "link1"),
-                                             link_spec(s, "link2"));
+        const topo::LinkSpec l1 = link_spec(s, "link1");
+        const topo::LinkSpec l2 = link_spec(s, "link2");
+        SimTime on = 0;
+        SimTime off = 0;
+        if (s.has("cbr_mean_on") || s.has("cbr_mean_off")) {
+          on = positive_time(s, "cbr_mean_on");
+          off = positive_time(s, "cbr_mean_off");
+        }
+        return std::make_unique<TwoLinkTopo>(net, l1, l2, on, off);
       });
 
   r.add_topology(

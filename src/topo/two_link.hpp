@@ -4,10 +4,13 @@
 //
 // A client M reaches a server over two disjoint bottleneck links. Each link
 // may carry additional single-path competing flows. The forward direction
-// is a Queue+Pipe; the ACK direction a Pipe of equal delay.
+// is a Queue+Pipe; the ACK direction a Pipe of equal delay. A link given a
+// loss probability also puts a LossyLink ahead of its queue (§2.3's
+// fixed-loss WiFi/3G paths).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "topo/network.hpp"
@@ -18,6 +21,7 @@ struct LinkSpec {
   double rate_bps = 100e6;
   SimTime one_way_delay = from_ms(5);  // per direction; RTT = 2x
   std::uint64_t buf_bytes = 50 * net::kDataPacketBytes;
+  std::optional<double> loss;  // random loss probability; unset = no element
 
   static LinkSpec pkt_rate(double pps, SimTime one_way, double bdp_mult) {
     LinkSpec s;
@@ -30,6 +34,9 @@ struct LinkSpec {
 
 class TwoLink {
  public:
+  // Seeds of the links' loss elements (§2.3's WiFi and 3G paths).
+  static constexpr std::uint64_t kLossSeeds[2] = {11, 13};
+
   TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2);
 
   // Data path over link i (0 or 1) and the matching ACK return path.
@@ -43,6 +50,7 @@ class TwoLink {
  private:
   Link links_[2];
   net::Pipe* ack_pipes_[2];
+  net::LossyLink* loss_[2] = {nullptr, nullptr};
 };
 
 }  // namespace mpsim::topo

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/event_list.hpp"
+#include "core/rng.hpp"
 #include "net/packet.hpp"
+#include "scenario/registry.hpp"
+#include "topo/network.hpp"
 
 namespace mpsim::scenario {
 namespace {
@@ -193,6 +197,37 @@ TEST(SpecErrors, DiagnosticsCarryFileAndLine) {
        "k: value 4294967304 is out of range"},
       {kTwoLink, "kind = \"bcube\"\nn = 100000", 2, "the order-id space"},
       {kTwoLink, "kind = \"bcube\"\nk = 40", 2, "the order-id space"},
+      // Traffic and [path_manager] integers: no wrap, no negative count,
+      // no allocation failure.
+      {"count = 1", "count = 4294967297", 14,
+       "count: value 4294967297 is out of range"},
+      {"count = 1", "count = -5", 14, "count: value -5 is out of range"},
+      {"subflows = 2", "subflows = 4294967298", 15,
+       "subflows: value 4294967298 is out of range"},
+      {"subflows = 2", "recv_buffer_pkts = -1", 15,
+       "recv_buffer_pkts: value -1 is out of range"},
+      {"kind = \"persistent\"\ncount = 1\nsubflows = 2",
+       "kind = \"churn\"\nmp_count = 4294967298", 14,
+       "mp_count: value 4294967298 is out of range"},
+      {"measure = \"2s\"", "measure = \"2s\"\n[path_manager]\nndiffports = -1",
+       21, "ndiffports: value -1 is out of range"},
+      // The optional two_link keys: loss probability, BDP-relative buffer
+      // and the on/off CBR's period means.
+      {"link1_delay = \"20ms\"", "link1_loss = 1.5", 5,
+       "link1_loss: loss probability must be in [0, 1]"},
+      {"link1_delay = \"20ms\"", "link1_loss = -0.1", 5,
+       "link1_loss: loss probability must be in [0, 1]"},
+      {"link1_delay = \"20ms\"", "link1_loss = nan", 5, "bare word"},
+      {"link2_delay = \"20ms\"", "link2_buf_bdp = 0", 7,
+       "link2_buf_bdp: must be above 0"},
+      {"link2_delay = \"20ms\"", "link2_buf = \"9kB\"\nlink2_buf_bdp = 1",
+       7, "link2_buf: mutually exclusive with 'link2_buf_bdp'"},
+      {"link2_delay = \"20ms\"",
+       "cbr_mean_on = \"0ms\"\ncbr_mean_off = \"100ms\"", 7,
+       "cbr_mean_on: must be above 0"},
+      {"link2_delay = \"20ms\"",
+       "cbr_mean_on = \"10ms\"\ncbr_mean_off = \"0s\"", 8,
+       "cbr_mean_off: must be above 0"},
   };
   for (const Case& c : cases) {
     std::string text = kBase;
@@ -227,6 +262,34 @@ TEST(SpecValidation, LegacyWirelessScheduleKeyRejected) {
   EXPECT_NE(std::string(e.what()).find(
                 "legacy.toml:3: unknown key 'wifi_schedule' in [topology]"),
             std::string::npos);
+}
+
+// Without linkN_loss, linkN_buf_bdp or cbr_mean_*, a two_link topology
+// builds its six classic elements in their classic order and nothing else:
+// event order, and so every golden built on it, depends on the order ids.
+TEST(SpecValidation, TwoLinkWithoutOptionalKeysBuildsClassicElements) {
+  const Spec spec = Spec::parse_string(kBase, "test.toml");
+  const Section& s = spec.require_section("topology");
+  EventList events;
+  topo::Network net(events);
+  auto built = builtin_registry().topology("two_link", s)(net, s, BuildEnv{});
+  Rng rng(1);
+  std::vector<std::string> names;
+  std::vector<std::uint32_t> ids;
+  for (const auto& [fwd, rev] : built->flow_paths(0, 2, rng)) {
+    for (const topo::Path* path : {&fwd, &rev}) {
+      for (net::PacketSink* hop : *path) {
+        names.push_back(hop->sink_name());
+        ids.push_back(dynamic_cast<EventSource&>(*hop).order_id());
+      }
+    }
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"link1/q", "link1/p",
+                                             "link1/ack", "link2/q",
+                                             "link2/p", "link2/ack"}));
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(events.alloc_order_id(), 7u);  // no hidden source was built
+  EXPECT_EQ(net.fault_targets().known_names(), "link1/q, link2/q");
 }
 
 TEST(SpecValidation, UnknownTopologyKindRejected) {

@@ -230,11 +230,8 @@ TEST(Section24, CoupledLosesToMptcpUnderBurstyCbr) {
   auto run = [](const cc::CongestionControl& algo) {
     EventList events;
     topo::Network net(events);
-    topo::TwoLink links(net,
-                        topo::LinkSpec{100e6, from_ms(5),
-                                       50 * net::kDataPacketBytes},
-                        topo::LinkSpec{100e6, from_ms(5),
-                                       50 * net::kDataPacketBytes});
+    // LinkSpec's defaults: 100 Mb/s, 5 ms one way, 50-packet buffer.
+    topo::TwoLink links(net, topo::LinkSpec{}, topo::LinkSpec{});
     net::CountingSink cbr_sink("cbr_sink");
     topo::Path cbr_path = links.fwd(0);
     cbr_path.push_back(&cbr_sink);
