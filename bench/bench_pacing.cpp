@@ -28,9 +28,9 @@ struct Result {
 };
 
 Result run(EventList& events, const cc::CongestionControl& algo) {
-  // Stretched 4x like bench_churn_lb: each run must stay long enough at
-  // MPSIM_BENCH_SCALE=0.1 that events_per_sec is not dominated by CPU
-  // frequency-ramp noise — the gate compares per run at +-10%.
+  // Stretched 4x: each run must stay long enough at MPSIM_BENCH_SCALE=0.1
+  // that events_per_sec is not dominated by CPU frequency-ramp noise — the
+  // gate compares per run at +-10%.
   const auto T = [](double sec) { return bench::scaled(4.0 * sec); };
   topo::Network net(events);
   // High packet rates so per-packet cost dominates the event loop; the

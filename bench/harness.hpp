@@ -1,9 +1,7 @@
-// Shared plumbing for the hand-built bench programs: the figures whose
-// workload has no scenario-engine builder yet, and the perf benches. Every
-// other paper figure is a spec in examples/scenarios/, run by `mpsim run`
-// (see EXPERIMENTS.md). Absolute numbers depend on the simulated
-// substrate; the shapes (orderings, crossovers, approximate ratios) are
-// the reproduction target.
+// Shared plumbing for the perf benches (bench_micro_core, bench_pacing,
+// bench_fattree_shard): duration scaling, the runner thread cap and the
+// banner. They time the simulator's own machinery; every paper figure is
+// a spec in examples/scenarios/, run by `mpsim run` (see EXPERIMENTS.md).
 #pragma once
 
 #include <cstdio>
@@ -34,11 +32,6 @@ inline double time_scale() {
 // (0 = hardware concurrency; 1 = fully sequential).
 inline unsigned env_threads() {
   return static_cast<unsigned>(env::env_int("MPSIM_THREADS", 0, 0, 1 << 20));
-}
-
-// MPSIM_SEEDS sets how many seeds a multi-seed bench sweeps.
-inline int env_seeds(int fallback) {
-  return static_cast<int>(env::env_int("MPSIM_SEEDS", fallback, 1, 1 << 20));
 }
 
 inline SimTime scaled(double seconds) {

@@ -27,8 +27,8 @@ using mptcp::MptcpConnection;
 // are exact. The paper's raw 4%/1% values leave NewReno timeout-dominated
 // (windows of ~7 packets cannot raise 3 dupacks); we scale both down 8x,
 // which preserves every ratio the §2.3 argument uses while keeping the
-// dynamics in the AIMD regime the fluid model describes. The bench
-// (bench_sec23_rtt_mismatch) reports the paper-exact settings too.
+// dynamics in the AIMD regime the fluid model describes. The spec
+// sec23_rtt_mismatch.toml runs the paper-exact settings too.
 inline constexpr double kWifiLoss = 0.005;
 inline constexpr double k3gLoss = 0.001;
 
