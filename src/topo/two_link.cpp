@@ -7,7 +7,8 @@ TwoLink::TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2) {
   for (int i = 0; i < 2; ++i) {
     const std::string base = "link" + std::to_string(i + 1);
     if (specs[i]->loss) {
-      loss_[i] = &net.add_lossy(base + "/loss", *specs[i]->loss, kLossSeeds[i]);
+      loss_[i] =
+          &net.add_lossy(base + "/loss", *specs[i]->loss, kLossSeeds[i]);
     }
     links_[i] = net.add_link(base, specs[i]->rate_bps,
                              specs[i]->one_way_delay, specs[i]->buf_bytes);
