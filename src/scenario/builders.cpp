@@ -61,14 +61,16 @@ std::vector<topo::PathPair> take(std::vector<topo::PathPair> pairs, int n) {
 }
 
 // §3's bursty cross traffic (Fig. 9): an on/off CBR sending at link 1's
-// rate for exponential on/off periods, through link 1 into a sink.
+// rate for exp(10 ms) on / exp(100 ms) off periods, through link 1 into a
+// sink.
 struct OnOffCrossTraffic {
   static constexpr std::uint64_t kSeed = 20260706;
+  static constexpr SimTime kMeanOn = from_ms(10);
+  static constexpr SimTime kMeanOff = from_ms(100);
 
-  OnOffCrossTraffic(EventList& events, const topo::Path& link, double rate,
-                    SimTime mean_on, SimTime mean_off)
+  OnOffCrossTraffic(EventList& events, const topo::Path& link, double rate)
       : route(link),
-        source(events, "cbr", route, rate, mean_on, mean_off, kSeed) {
+        source(events, "cbr", route, rate, kMeanOn, kMeanOff, kSeed) {
     route.push_back(&sink);
     source.start(0);
   }
@@ -80,13 +82,13 @@ struct OnOffCrossTraffic {
 
 class TwoLinkTopo final : public BuiltTopology {
  public:
-  // mean_on > 0 adds the cross traffic, built before any flow.
+  // `cbr` adds the cross traffic, built before any flow.
   TwoLinkTopo(topo::Network& net, const topo::LinkSpec& l1,
-              const topo::LinkSpec& l2, SimTime mean_on, SimTime mean_off)
+              const topo::LinkSpec& l2, bool cbr)
       : links_(net, l1, l2) {
-    if (mean_on > 0) {
-      cbr_ = std::make_unique<OnOffCrossTraffic>(
-          net.events(), links_.fwd(0), l1.rate_bps, mean_on, mean_off);
+    if (cbr) {
+      cbr_ = std::make_unique<OnOffCrossTraffic>(net.events(), links_.fwd(0),
+                                                 l1.rate_bps);
     }
   }
 
@@ -139,11 +141,18 @@ T int_key(const Section& s, const std::string& key,
 // packets is far beyond any simulated bandwidth-delay product.
 constexpr std::uint64_t kMaxRecvBufferPkts = 1u << 24;
 
-// A strictly positive time (a CBR period mean).
-SimTime positive_time(const Section& s, const std::string& key) {
-  const SimTime t = s.get_time(key);
-  if (t <= 0) s.reject(key, "must be above 0");
-  return t;
+// A buffer of `buffer_bdp` (default 1) bandwidth-delay products over a
+// link's round trip. The RTT doubles as 2 * mult, in double, where no
+// delay can overflow SimTime; a size that saturates topo::bdp_bytes is
+// refused.
+std::uint64_t bdp_buffer(const Section& s, double rate_bps, SimTime one_way) {
+  const double mult = s.get_number("buffer_bdp", 1.0);
+  if (!(mult > 0.0)) s.reject("buffer_bdp", "must be above 0");
+  const std::uint64_t bytes = topo::bdp_bytes(rate_bps, one_way, 2 * mult);
+  if (bytes >= topo::kMaxBdpBytes) {
+    s.reject("buffer_bdp", "sizes a buffer of 2^62 B or more");
+  }
+  return bytes;
 }
 
 // Every queue and pipe takes a uint32 order id (EventList::alloc_order_id),
@@ -167,20 +176,11 @@ topo::LinkSpec link_spec(const Section& s, const std::string& prefix) {
   spec.rate_bps = positive_rate(
       s, prefix + "_rate", s.get_rate_bps(prefix + "_rate", spec.rate_bps));
   spec.one_way_delay = s.get_time(prefix + "_delay", spec.one_way_delay);
-  const std::string bdp_key = prefix + "_buf_bdp";
-  if (s.has(bdp_key)) {
-    // A buffer of this many bandwidth-delay products (topo::bdp_bytes).
+  if (s.has("buffer_bdp")) {
     if (s.has(prefix + "_buf")) {
-      s.reject(prefix + "_buf", "mutually exclusive with '" + bdp_key + "'");
+      s.reject(prefix + "_buf", "mutually exclusive with 'buffer_bdp'");
     }
-    const double mult = s.get_number(bdp_key);
-    const double bytes =
-        spec.rate_bps / 8.0 * 2.0 * to_sec(spec.one_way_delay) * mult;
-    if (!(mult > 0.0 && bytes < 0x1p63)) {
-      s.reject(bdp_key, "must be above 0 and size a buffer below 2^63 B");
-    }
-    spec.buf_bytes =
-        topo::bdp_bytes(spec.rate_bps, 2 * spec.one_way_delay, mult);
+    spec.buf_bytes = bdp_buffer(s, spec.rate_bps, spec.one_way_delay);
   } else {
     spec.buf_bytes = s.get_bytes(prefix + "_buf", spec.buf_bytes);
   }
@@ -1040,15 +1040,9 @@ Registry make_builtin_registry() {
   r.add_topology(
       "two_link", "client/server over two disjoint bottleneck links",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        const topo::LinkSpec l1 = link_spec(s, "link1");
-        const topo::LinkSpec l2 = link_spec(s, "link2");
-        SimTime on = 0;
-        SimTime off = 0;
-        if (s.has("cbr_mean_on") || s.has("cbr_mean_off")) {
-          on = positive_time(s, "cbr_mean_on");
-          off = positive_time(s, "cbr_mean_off");
-        }
-        return std::make_unique<TwoLinkTopo>(net, l1, l2, on, off);
+        return std::make_unique<TwoLinkTopo>(net, link_spec(s, "link1"),
+                                             link_spec(s, "link2"),
+                                             s.get_bool("cbr", false));
       });
 
   r.add_topology(
@@ -1059,13 +1053,12 @@ Registry make_builtin_registry() {
         const SimTime delay = s.get_time("one_way_delay", from_ms(10));
         std::array<double, 3> bps{};
         std::array<std::uint64_t, 3> bufs{};
-        const double bdp_mult = s.get_number("buffer_bdp", 1.0);
         for (int i = 0; i < 3; ++i) {
           const double pps =
               positive_rate(s, "rates_pps", rates[static_cast<std::size_t>(i)]);
           bps[static_cast<std::size_t>(i)] = topo::pkts_per_sec_to_bps(pps);
-          bufs[static_cast<std::size_t>(i)] = topo::bdp_bytes(
-              bps[static_cast<std::size_t>(i)], 2 * delay, bdp_mult);
+          bufs[static_cast<std::size_t>(i)] =
+              bdp_buffer(s, bps[static_cast<std::size_t>(i)], delay);
         }
         return std::make_unique<TriangleTopo>(net, bps, delay, bufs);
       });

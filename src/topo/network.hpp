@@ -179,9 +179,13 @@ inline Path path_of(std::initializer_list<const Link*> links) {
 }
 
 // Buffer sizing helper: `bdp_multiple` bandwidth-delay products, in bytes.
+// A product of kMaxBdpBytes or more saturates there instead of overflowing.
+inline constexpr std::uint64_t kMaxBdpBytes = std::uint64_t{1} << 62;
+
 inline std::uint64_t bdp_bytes(double rate_bps, SimTime rtt,
                                double bdp_multiple = 1.0) {
   const double bytes = rate_bps / 8.0 * to_sec(rtt) * bdp_multiple;
+  if (!(bytes < 0x1p62)) return kMaxBdpBytes;
   return static_cast<std::uint64_t>(bytes) + net::kDataPacketBytes;
 }
 

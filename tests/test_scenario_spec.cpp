@@ -212,22 +212,20 @@ TEST(SpecErrors, DiagnosticsCarryFileAndLine) {
       {"measure = \"2s\"", "measure = \"2s\"\n[path_manager]\nndiffports = -1",
        21, "ndiffports: value -1 is out of range"},
       // The optional two_link keys: loss probability, BDP-relative buffer
-      // and the on/off CBR's period means.
+      // and the on/off CBR switch.
       {"link1_delay = \"20ms\"", "link1_loss = 1.5", 5,
        "link1_loss: loss probability must be in [0, 1]"},
       {"link1_delay = \"20ms\"", "link1_loss = -0.1", 5,
        "link1_loss: loss probability must be in [0, 1]"},
       {"link1_delay = \"20ms\"", "link1_loss = nan", 5, "bare word"},
-      {"link2_delay = \"20ms\"", "link2_buf_bdp = 0", 7,
-       "link2_buf_bdp: must be above 0"},
-      {"link2_delay = \"20ms\"", "link2_buf = \"9kB\"\nlink2_buf_bdp = 1",
-       7, "link2_buf: mutually exclusive with 'link2_buf_bdp'"},
-      {"link2_delay = \"20ms\"",
-       "cbr_mean_on = \"0ms\"\ncbr_mean_off = \"100ms\"", 7,
-       "cbr_mean_on: must be above 0"},
-      {"link2_delay = \"20ms\"",
-       "cbr_mean_on = \"10ms\"\ncbr_mean_off = \"0s\"", 8,
-       "cbr_mean_off: must be above 0"},
+      {"link2_delay = \"20ms\"", "buffer_bdp = 0", 7,
+       "buffer_bdp: must be above 0"},
+      {"link2_delay = \"20ms\"", "link2_buf = \"9kB\"\nbuffer_bdp = 1", 7,
+       "link2_buf: mutually exclusive with 'buffer_bdp'"},
+      {"link1_delay = \"20ms\"",
+       "link1_delay = \"5000000000s\"\nbuffer_bdp = 1000", 6,
+       "buffer_bdp: sizes a buffer of 2^62 B or more"},
+      {"link2_delay = \"20ms\"", "cbr = \"yes\"", 7, "true or false"},
   };
   for (const Case& c : cases) {
     std::string text = kBase;
@@ -264,7 +262,7 @@ TEST(SpecValidation, LegacyWirelessScheduleKeyRejected) {
             std::string::npos);
 }
 
-// Without linkN_loss, linkN_buf_bdp or cbr_mean_*, a two_link topology
+// Without linkN_loss, buffer_bdp or cbr, a two_link topology
 // builds its six classic elements in their classic order and nothing else:
 // event order, and so every golden built on it, depends on the order ids.
 TEST(SpecValidation, TwoLinkWithoutOptionalKeysBuildsClassicElements) {

@@ -266,6 +266,11 @@ TEST(NetworkHelpers, BdpBytes) {
   // 12 Mb/s x 100 ms = 150 kB (+1 packet of slack).
   EXPECT_NEAR(static_cast<double>(bdp_bytes(12e6, from_ms(100))), 150000.0,
               1600.0);
+  // A one-way delay near SimTime's limit doubles in the multiple, not in
+  // SimTime; a product beyond 2^62 B saturates instead of overflowing.
+  EXPECT_NEAR(static_cast<double>(bdp_bytes(100e6, from_sec(5e9), 2.0)),
+              1.25e17, 1e6);
+  EXPECT_EQ(bdp_bytes(1e300, from_ms(1)), kMaxBdpBytes);
 }
 
 }  // namespace
